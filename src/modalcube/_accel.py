@@ -1,11 +1,10 @@
-"""Hot kernels for row filtering, with a numba path and a numpy fallback.
+"""The row-filtering kernels: one support-filter round and the compatibility matrix.
 
-The support-filter fixpoint checks every surviving row against every other
-surviving row at every closure position, an O(n^2 * m) inner loop that
-dominates runtime on non-trivial closures.  By default the loop is compiled
-with numba; set MODALCUBE_NO_NUMBA=1 (or leave numba uninstalled) to use the
-vectorized numpy implementation instead.  Both paths are importable directly
-so the benchmark can compare them in one process.
+Row w may follow row v when, at every closure position, w's value is allowed
+after v's.  The support-filter fixpoint checks every surviving row against
+every other surviving row at every position, an O(n^2 * m) loop that
+dominates runtime on non-trivial closures.  Both kernels run that comparison
+through the same `_compat`, vectorized in numpy over row chunks.
 
 Kernel inputs are plain arrays derived from a row table:
 
@@ -18,42 +17,40 @@ Kernel inputs are plain arrays derived from a row table:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLE = os.environ.get("MODALCUBE_NO_NUMBA", "") not in ("", "0")
+# perfbench/worker.py reads these to report the kernel; only the numpy one exists.
+HAVE_NUMBA = USING_NUMBA = False
 
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-
-HAVE_NUMBA = numba is not None
-USING_NUMBA = HAVE_NUMBA and not _DISABLE
+_CHUNK_CELLS = 1 << 25   # rows x rows x positions per temporary, ~32 MB of uint8
 
 
-def _chunk_size(k: int, m: int) -> int:
-    # keep the (chunk, k, m) uint8 temporary around 32 MB
-    return max(1, (1 << 25) // max(1, k * m))
+def _chunks(n: int, m: int):
+    """Slices of range(n) small enough for a (slice, n, m) temporary."""
+    step = max(1, _CHUNK_CELLS // max(1, n * m))
+    for c0 in range(0, n, step):
+        yield slice(c0, min(n, c0 + step))
 
 
-def support_filter_round_np(arow, bits, alive, preq, pnreq):
-    """One deletion round: rows of `alive` whose obligations stay supported."""
+def _compat(arow_sel: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """compat[a, w]: row w is allowed at every position after row a."""
+    return ((arow_sel[:, None, :] & bits[None, :, :]) != 0).all(axis=2)
+
+
+def support_filter_round(arow, bits, alive, preq, pnreq):
+    """One deletion round: rows of `alive` whose obligations stay supported.
+
+    A row's available values at a position are the OR of that position's bits
+    over its compatible alive rows, so no witness count exists to overflow.
+    """
     n, m = arow.shape
     keep = np.zeros(n, dtype=bool)
     idx = np.flatnonzero(alive)
-    if idx.size == 0:
-        return keep
     b = bits[idx]
-    for c0 in range(0, idx.size, _chunk_size(idx.size, m)):
-        sel = idx[c0:c0 + _chunk_size(idx.size, m)]
-        compat = ((arow[sel][:, None, :] & b[None, :, :]) != 0).all(axis=2)
-        avail = np.zeros((sel.size, m), dtype=np.uint8)
-        cu = compat.astype(np.uint8)
-        for bit in range(8):
-            hit = (cu @ ((b >> bit) & 1)) > 0
-            avail |= hit.astype(np.uint8) << bit
+    for s in _chunks(idx.size, m):
+        sel = idx[s]
+        compat = _compat(arow[sel], b)
+        avail = np.bitwise_or.reduce(np.where(compat[:, :, None], b[None], 0), axis=1)
         p = preq[sel]
         q = pnreq[sel]
         ok = ((p == 0) | ((avail & p) != 0)) & ((q == 0) | ((avail & q) != 0))
@@ -61,68 +58,10 @@ def support_filter_round_np(arow, bits, alive, preq, pnreq):
     return keep
 
 
-def compat_matrix_np(arow, bits):
+def compat_matrix(arow, bits):
     """Maximal successor relation: edge (v, w) iff w is admissible after v."""
     n, m = arow.shape
     out = np.zeros((n, n), dtype=bool)
-    for c0 in range(0, n, _chunk_size(n, m)):
-        c1 = min(n, c0 + _chunk_size(n, m))
-        out[c0:c1] = ((arow[c0:c1, None, :] & bits[None, :, :]) != 0).all(axis=2)
+    for s in _chunks(n, m):
+        out[s] = _compat(arow[s], bits)
     return out
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def support_filter_round_nb(arow, bits, alive, preq, pnreq):  # pragma: no cover - compiled
-        n, m = arow.shape
-        keep = np.zeros(n, dtype=np.bool_)
-        for v in range(n):
-            if not alive[v]:
-                continue
-            avail = np.zeros(m, dtype=np.uint8)
-            for w in range(n):
-                if not alive[w]:
-                    continue
-                ok = True
-                for i in range(m):
-                    if arow[v, i] & bits[w, i] == 0:
-                        ok = False
-                        break
-                if ok:
-                    for i in range(m):
-                        avail[i] |= bits[w, i]
-            good = True
-            for i in range(m):
-                r = preq[v, i]
-                if r != 0 and avail[i] & r == 0:
-                    good = False
-                    break
-                r = pnreq[v, i]
-                if r != 0 and avail[i] & r == 0:
-                    good = False
-                    break
-            keep[v] = good
-        return keep
-
-    @numba.njit(cache=True)
-    def compat_matrix_nb(arow, bits):  # pragma: no cover - compiled
-        n, m = arow.shape
-        out = np.zeros((n, n), dtype=np.bool_)
-        for v in range(n):
-            for w in range(n):
-                ok = True
-                for i in range(m):
-                    if arow[v, i] & bits[w, i] == 0:
-                        ok = False
-                        break
-                out[v, w] = ok
-        return out
-
-
-if USING_NUMBA:
-    support_filter_round = support_filter_round_nb
-    compat_matrix = compat_matrix_nb
-else:
-    support_filter_round = support_filter_round_np
-    compat_matrix = compat_matrix_np

@@ -14,10 +14,9 @@ import sys
 from dataclasses import dataclass, field
 
 from . import decision, kripke
-from .formula import (Atom, Box, Formula, FormulaError, Implies, closure,
-                      land, ldia, lnot, lor, parse, print_formula)
-from .logics import LogicError, axioms, lookup
-from .nmatrix import ValueNotInLogicError
+from .formula import (Atom, Box, Formula, Implies, closure, land, ldia, lnot,
+                      lor, parse, print_formula)
+from .logics import axioms, lookup
 
 
 @dataclass
@@ -317,10 +316,8 @@ _COMMANDS = {
     "axioms": _cmd_axioms,
 }
 
-_KNOWN_ERRORS = (FormulaError, LogicError, ValueNotInLogicError,
-                 decision.RowLimitError, decision.MissingSubformulaError,
-                 kripke.ClosureImpossibleError, kripke.OracleBudgetError,
-                 ValueError)
+_KNOWN_ERRORS = (decision.RowLimitError, kripke.ClosureImpossibleError,
+                 kripke.OracleBudgetError, ValueError)
 
 
 def main(argv=None, out=None, err=None) -> int:

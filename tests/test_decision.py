@@ -3,11 +3,12 @@ import pytest
 
 import reference as ref
 from modalcube import values
+from modalcube._accel import compat_matrix, support_filter_round
 from modalcube.decision import (
-    RowLimitError, MissingSubformulaError, allowed_successors, build_relation,
-    decide, enumerate_rows, extend_column, filter_model, filter_rows,
-    level_filter, model_to_csv, model_to_json_dict, support_requirements,
-    validate_rows,
+    RowLimitError, MissingSubformulaError, _kernel_inputs, allowed_successors,
+    build_relation, decide, enumerate_rows, extend_column, filter_model,
+    filter_rows, level_filter, model_to_csv, model_to_json_dict,
+    support_requirements, validate_rows,
 )
 from modalcube.formula import Atom, Box, Implies, closure, parse, print_formula
 from modalcube.logics import lookup
@@ -168,6 +169,51 @@ def test_filter_is_idempotent(logic_name):
     again, iters = filter_rows(lookup(logic_name), model.rows)
     assert iters == 0
     assert again.shape == model.rows.shape
+
+
+# Rows here have 256 or more compatible witnesses, so a witness count kept in
+# uint8 wraps to 0 and deletes supported rows (952 and 1312 survivors).
+@pytest.mark.parametrize("name,survivors", [("KD4", 960), ("K4", 1320)])
+def test_filter_rows_exact_with_many_witnesses(name, survivors):
+    logic = lookup(name)
+    rows = enumerate_rows(logic, closure([parse("([]p & []q) -> [](p | r)")]))
+    kept, rounds = filter_rows(logic, rows)
+    assert (kept.shape[0], rounds) == (survivors, 1)
+
+
+def _exact_round(arow, bits, alive, preq, pnreq):
+    """Row by row: each obligation needs one compatible alive witness."""
+    keep = np.zeros(alive.size, dtype=bool)
+    live = bits[alive]
+    for v in np.flatnonzero(alive):
+        succ = live[((arow[v] & live) != 0).all(axis=1)]
+        witnessed = [(req == 0) | ((succ & req) != 0).any(axis=0)
+                     for req in (preq[v], pnreq[v])]
+        keep[v] = (witnessed[0] & witnessed[1]).all()
+    return keep
+
+
+# one logic per family, each closure over 256 rows
+@pytest.mark.parametrize("name,text", [
+    ("K", "[]p -> ([]q -> [](p & q))"),
+    ("KD4", "([]p & []q) -> [](p | r)"),
+    ("KT4", "[](p | q | r) -> s"),
+    ("KB5", "([]p & []q & []r & []s) -> t"),
+])
+def test_kernels_match_row_by_row_loop(name, text):
+    logic = lookup(name)
+    rows = enumerate_rows(logic, closure([parse(text)]))
+    assert rows.shape[0] > 256
+    arow, bits, preq, pnreq = _kernel_inputs(logic, rows)
+    rng = np.random.default_rng(0)
+    for alive in (np.ones(rows.shape[0], dtype=bool),
+                  rng.random(rows.shape[0]) < 0.8,
+                  rng.random(rows.shape[0]) < 0.95):
+        got = support_filter_round(arow, bits, alive, preq, pnreq)
+        want = _exact_round(arow, bits, alive, preq, pnreq)
+        assert np.array_equal(got, want)
+    want = np.array([((arow[v] & bits) != 0).all(axis=1) for v in range(rows.shape[0])])
+    assert np.array_equal(compat_matrix(arow, bits), want)
 
 
 # ---------------------------------------------------------------------------
