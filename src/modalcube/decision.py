@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import values
-from ._accel import compat_matrix, support_filter_round
+from ._accel import compat_matrix, signatures, support_filter_round
 from .formula import Atom, Box, Closure, Falsum, Formula, children, closure, print_formula
 from .logics import Logic
 from .nmatrix import nmatrix
@@ -253,10 +253,11 @@ def filter_rows(logic: Logic, rows: np.ndarray) -> tuple[np.ndarray, int]:
     if rows.shape[0] == 0:
         return rows, 0
     arow, bits, preq, pnreq = _kernel_inputs(logic, rows)
+    sigs = signatures(arow, bits)
     alive = np.ones(rows.shape[0], dtype=bool)
     iterations = 0
     while True:
-        keep = support_filter_round(arow, bits, alive, preq, pnreq)
+        keep = support_filter_round(sigs, alive, preq, pnreq)
         if keep.sum() == alive.sum():
             break
         alive = keep

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import reference as ref
-from modalcube import values
-from modalcube._accel import compat_matrix, support_filter_round
+from modalcube import _accel, values
+from modalcube._accel import compat_matrix, signatures, support_filter_round
 from modalcube.decision import (
     RowLimitError, MissingSubformulaError, _kernel_inputs, allowed_successors,
     build_relation, decide, enumerate_rows, extend_column, filter_model,
@@ -172,13 +172,23 @@ def test_filter_is_idempotent(logic_name):
 
 
 # Rows here have 256 or more compatible witnesses, so a witness count kept in
-# uint8 wraps to 0 and deletes supported rows (952 and 1312 survivors).
-@pytest.mark.parametrize("name,survivors", [("KD4", 960), ("K4", 1320)])
-def test_filter_rows_exact_with_many_witnesses(name, survivors):
+# uint8 wraps to 0 and deletes supported rows (952 and 1312 survivors for KD4
+# and K4).  The larger closures give the survivors of the exact reference
+# fixpoint (perfbench/reference.py), which takes seconds on each.
+@pytest.mark.parametrize("name,text,enumerated,survivors,rounds", [
+    ("KD4", "([]p & []q) -> [](p | r)", 1408, 960, 1),
+    ("K4", "([]p & []q) -> [](p | r)", 3160, 1320, 1),
+    ("K", "([]p & []q) -> [](p | r)", 7928, 4808, 1),
+    ("KB", "([]p & []q) -> [](p | r)", 3008, 2048, 1),
+    ("KDB", "([]p & []q) -> [](p | r)", 3000, 2040, 1),
+    ("K", "([]p & []q) -> [](p | (q & r))", 8720, 5288, 1),
+    ("KD", "[][]p -> <>(q -> []r)", 21600, 21600, 0),
+], ids=["KD4-960", "K4-1320", "K-4808", "KB-2048", "KDB-2040", "K-5288", "KD-21600"])
+def test_filter_rows_exact_with_many_witnesses(name, text, enumerated, survivors, rounds):
     logic = lookup(name)
-    rows = enumerate_rows(logic, closure([parse("([]p & []q) -> [](p | r)")]))
-    kept, rounds = filter_rows(logic, rows)
-    assert (kept.shape[0], rounds) == (survivors, 1)
+    rows = enumerate_rows(logic, closure([parse(text)]))
+    kept, iterations = filter_rows(logic, rows)
+    assert (rows.shape[0], kept.shape[0], iterations) == (enumerated, survivors, rounds)
 
 
 def _exact_round(arow, bits, alive, preq, pnreq):
@@ -209,11 +219,50 @@ def test_kernels_match_row_by_row_loop(name, text):
     for alive in (np.ones(rows.shape[0], dtype=bool),
                   rng.random(rows.shape[0]) < 0.8,
                   rng.random(rows.shape[0]) < 0.95):
-        got = support_filter_round(arow, bits, alive, preq, pnreq)
+        got = support_filter_round(signatures(arow, bits), alive, preq, pnreq)
         want = _exact_round(arow, bits, alive, preq, pnreq)
         assert np.array_equal(got, want)
     want = np.array([((arow[v] & bits) != 0).all(axis=1) for v in range(rows.shape[0])])
     assert np.array_equal(compat_matrix(arow, bits), want)
+
+
+def _k_table():
+    """K over a 1324-row closure: not a multiple of the 64 rows of a word."""
+    logic = lookup("K")
+    rows = enumerate_rows(logic, closure([parse("[]p -> ([]q -> [](p & q))")]))
+    return logic, rows
+
+
+# counts on each side of one and two 64-row words
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 128, 129])
+def test_kernels_at_word_boundaries(count):
+    logic, rows = _k_table()
+    arow, bits, preq, pnreq = _kernel_inputs(logic, rows)
+    rng = np.random.default_rng(count)
+    alive = np.zeros(rows.shape[0], dtype=bool)
+    alive[rng.choice(rows.shape[0], count, replace=False)] = True
+    got = support_filter_round(signatures(arow, bits), alive, preq, pnreq)
+    assert np.array_equal(got, _exact_round(arow, bits, alive, preq, pnreq))
+    # a table of `count` rows, all alive
+    sub = np.flatnonzero(alive)
+    arow, bits, preq, pnreq = arow[sub], bits[sub], preq[sub], pnreq[sub]
+    alive = np.ones(count, dtype=bool)
+    got = support_filter_round(signatures(arow, bits), alive, preq, pnreq)
+    assert np.array_equal(got, _exact_round(arow, bits, alive, preq, pnreq))
+    want = np.array([((arow[v] & bits) != 0).all(axis=1) for v in range(count)])
+    assert np.array_equal(compat_matrix(arow, bits), want)
+
+
+def test_kernels_same_under_tiny_chunks(monkeypatch):
+    logic, rows = _k_table()
+    kept, rounds = filter_rows(logic, rows)
+    relation = build_relation(logic, kept)
+    assert rounds == 1 and kept.shape[0] < rows.shape[0]
+    # four words per temporary: every loop takes one item per chunk
+    monkeypatch.setattr(_accel, "_CHUNK_BYTES", 32)
+    again, again_rounds = filter_rows(logic, rows)
+    assert again_rounds == rounds and np.array_equal(again, kept)
+    assert np.array_equal(build_relation(logic, kept), relation)
 
 
 # ---------------------------------------------------------------------------
