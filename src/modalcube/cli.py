@@ -11,33 +11,11 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 
 from . import decision, kripke
 from .formula import (Atom, Box, Formula, Implies, closure, land, ldia, lnot,
                       lor, parse, print_formula)
 from .logics import axioms, lookup
-
-
-@dataclass
-class RunConfig:
-    command: str
-    logic: str = "K"
-    formulas: list[str] = field(default_factory=list)
-    assumptions: list[str] = field(default_factory=list)
-    format: str = "text"
-    max_worlds: int = 3
-    row_cap: int = decision.ROW_CAP_DEFAULT
-    seed: int = 0
-    count: int = 100
-    max_depth: int = 2
-    max_atoms: int = 2
-    level: int | None = None
-
-    def __post_init__(self):
-        dot_ok = self.command in ("model", "oracle")
-        if self.format == "dot" and not dot_ok:
-            raise ValueError("dot output is only available for model/oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +58,12 @@ def random_formula(rng: random.Random, max_depth: int, atoms: list[str]) -> Form
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_decide(cfg: RunConfig, out) -> int:
-    logic = lookup(cfg.logic)
-    goal = parse(cfg.formulas[0])
-    assumptions = [parse(a) for a in cfg.assumptions]
-    verdict = decision.decide(logic, assumptions, goal, cfg.row_cap)
-    if cfg.format == "json":
+def _cmd_decide(ns: argparse.Namespace, out) -> int:
+    logic = lookup(ns.logic)
+    goal = parse(ns.goal)
+    assumptions = [parse(a) for a in ns.assume]
+    verdict = decision.decide(logic, assumptions, goal, ns.row_cap)
+    if ns.format == "json":
         payload = {
             "logic": logic.name,
             "goal": print_formula(goal, resugar=True),
@@ -104,20 +82,20 @@ def _cmd_decide(cfg: RunConfig, out) -> int:
     return 0 if verdict.valid else 1
 
 
-def _cmd_table(cfg: RunConfig, out) -> int:
-    logic = lookup(cfg.logic)
-    if not cfg.formulas:
-        return _dump_connectives(logic, cfg.format, out)
-    clo = closure([parse(s) for s in cfg.formulas])
-    if cfg.level is not None:
-        levels = decision.level_filter(logic, clo, cfg.level, cfg.row_cap)
-        if cfg.format == "json":
+def _cmd_table(ns: argparse.Namespace, out) -> int:
+    logic = lookup(ns.logic)
+    if not ns.formulas:
+        return _dump_connectives(logic, ns.format, out)
+    clo = closure([parse(s) for s in ns.formulas])
+    if ns.level is not None:
+        levels = decision.level_filter(logic, clo, ns.level, ns.row_cap)
+        if ns.format == "json":
             print(json.dumps(decision.levels_to_json_dict(clo, levels), indent=2), file=out)
         else:
             print(decision.levels_to_csv(clo, levels), end="", file=out)
         return 0
-    model = decision.filter_model(logic, clo, cfg.row_cap)
-    if cfg.format == "json":
+    model = decision.filter_model(logic, clo, ns.row_cap)
+    if ns.format == "json":
         print(decision.model_to_json(model), file=out)
     else:
         print(decision.model_to_csv(model), end="", file=out)
@@ -157,45 +135,45 @@ def _dump_connectives(logic, fmt: str, out) -> int:
     return 0
 
 
-def _cmd_model(cfg: RunConfig, out) -> int:
-    logic = lookup(cfg.logic)
-    clo = closure([parse(cfg.formulas[0])])
-    model = decision.filter_model(logic, clo, cfg.row_cap)
+def _cmd_model(ns: argparse.Namespace, out) -> int:
+    logic = lookup(ns.logic)
+    clo = closure([parse(ns.formula)])
+    model = decision.filter_model(logic, clo, ns.row_cap)
     km = kripke.to_kripke(model)
-    if cfg.format == "dot":
+    if ns.format == "dot":
         print(kripke.to_dot(km), end="", file=out)
     else:
         print(json.dumps(kripke.kripke_to_json_dict(km), indent=2), file=out)
     return 0
 
 
-def _cmd_oracle(cfg: RunConfig, out) -> int:
-    logic = lookup(cfg.logic)
-    goal = parse(cfg.formulas[0])
-    assumptions = [parse(a) for a in cfg.assumptions]
-    verdict = kripke.oracle_decide(logic, assumptions, goal, cfg.max_worlds)
-    if cfg.format == "json":
+def _cmd_oracle(ns: argparse.Namespace, out) -> int:
+    logic = lookup(ns.logic)
+    goal = parse(ns.goal)
+    assumptions = [parse(a) for a in ns.assume]
+    verdict = kripke.oracle_decide(logic, assumptions, goal, ns.max_worlds)
+    if ns.format == "json":
         payload = {"verdict": str(verdict), "world": verdict.world}
         payload["countermodel"] = (kripke.kripke_to_json_dict(verdict.countermodel)
                                    if verdict.found else None)
         print(json.dumps(payload, indent=2), file=out)
-    elif cfg.format == "dot" and verdict.found:
+    elif ns.format == "dot" and verdict.found:
         print(kripke.to_dot(verdict.countermodel), end="", file=out)
     else:
         print(str(verdict), file=out)
     return 1 if verdict.found else 0
 
 
-def _cmd_xcheck(cfg: RunConfig, out) -> int:
-    logic = lookup(cfg.logic)
-    rng = random.Random(cfg.seed)
-    atoms = [chr(ord("p") + i) for i in range(cfg.max_atoms)]
+def _cmd_xcheck(ns: argparse.Namespace, out) -> int:
+    logic = lookup(ns.logic)
+    rng = random.Random(ns.seed)
+    atoms = [chr(ord("p") + i) for i in range(ns.atoms)]
     agree = refuted = unresolved = 0
     disagreements = []
-    for k in range(cfg.count):
-        goal = random_formula(rng, cfg.max_depth, atoms)
-        verdict = decision.decide(logic, [], goal, cfg.row_cap)
-        oracle = kripke.oracle_decide(logic, [], goal, cfg.max_worlds)
+    for k in range(ns.count):
+        goal = random_formula(rng, ns.max_depth, atoms)
+        verdict = decision.decide(logic, [], goal, ns.row_cap)
+        oracle = kripke.oracle_decide(logic, [], goal, ns.max_worlds)
         if verdict.valid and not oracle.found:
             agree += 1
         elif not verdict.valid and oracle.found:
@@ -210,10 +188,10 @@ def _cmd_xcheck(cfg: RunConfig, out) -> int:
     return 1 if disagreements else 0
 
 
-def _cmd_axioms(cfg: RunConfig, out) -> int:
-    logic = lookup(cfg.logic)
+def _cmd_axioms(ns: argparse.Namespace, out) -> int:
+    logic = lookup(ns.logic)
     pairs = axioms(logic)
-    if cfg.format == "json":
+    if ns.format == "json":
         payload = [{"label": label, "schema": print_formula(schema, resugar=True)}
                    for label, schema in pairs]
         print(json.dumps(payload, indent=2), file=out)
@@ -234,36 +212,37 @@ def _build_parser() -> argparse.ArgumentParser:
                     "non-deterministic truth tables.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formulas="?"):
+    def common(p, default_format):
         p.add_argument("--logic", default="K", help="logic name or alias (K, S4, S5...)")
         p.add_argument("--row-cap", type=int, default=decision.ROW_CAP_DEFAULT)
-        p.add_argument("--format", default=None, choices=["text", "json", "csv", "dot"])
+        p.add_argument("--format", default=default_format,
+                       choices=["text", "json", "csv", "dot"])
 
     p = sub.add_parser("decide", help="decide a consequence")
-    common(p)
+    common(p, "text")
     p.add_argument("--assume", action="append", default=[], metavar="FORMULA")
     p.add_argument("goal")
 
     p = sub.add_parser("table", help="dump a filtered truth table, or the "
                                      "logic's connective tables when no "
                                      "formula is given")
-    common(p)
+    common(p, "csv")
     p.add_argument("--level", type=int, default=None,
                    help="dump staged level filtering instead of the support filter")
     p.add_argument("formulas", nargs="*")
 
     p = sub.add_parser("model", help="extract a relational model")
-    common(p)
+    common(p, "json")
     p.add_argument("formula")
 
     p = sub.add_parser("oracle", help="bounded relational countermodel search")
-    common(p)
+    common(p, "text")
     p.add_argument("--assume", action="append", default=[], metavar="FORMULA")
     p.add_argument("--max-worlds", type=int, default=3)
     p.add_argument("goal")
 
     p = sub.add_parser("xcheck", help="differential test: decide vs oracle")
-    common(p)
+    common(p, "text")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--max-depth", type=int, default=2)
     p.add_argument("--atoms", type=int, default=2)
@@ -271,40 +250,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-worlds", type=int, default=3)
 
     p = sub.add_parser("axioms", help="list the logic's axiom schemata")
-    common(p)
+    common(p, "text")
 
     return parser
-
-
-_DEFAULT_FORMATS = {
-    "decide": "text", "table": "csv", "model": "json",
-    "oracle": "text", "xcheck": "text", "axioms": "text",
-}
-
-
-def _to_config(ns: argparse.Namespace) -> RunConfig:
-    fmt = ns.format or _DEFAULT_FORMATS[ns.command]
-    cfg = RunConfig(command=ns.command, logic=ns.logic, format=fmt,
-                    row_cap=ns.row_cap)
-    if ns.command == "decide":
-        cfg.formulas = [ns.goal]
-        cfg.assumptions = list(ns.assume)
-    elif ns.command == "table":
-        cfg.formulas = list(ns.formulas)
-        cfg.level = ns.level
-    elif ns.command == "model":
-        cfg.formulas = [ns.formula]
-    elif ns.command == "oracle":
-        cfg.formulas = [ns.goal]
-        cfg.assumptions = list(ns.assume)
-        cfg.max_worlds = ns.max_worlds
-    elif ns.command == "xcheck":
-        cfg.count = ns.count
-        cfg.max_depth = ns.max_depth
-        cfg.max_atoms = ns.atoms
-        cfg.seed = ns.seed
-        cfg.max_worlds = ns.max_worlds
-    return cfg
 
 
 _COMMANDS = {
@@ -328,9 +276,11 @@ def main(argv=None, out=None, err=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    if ns.format == "dot" and ns.command not in ("model", "oracle"):
+        print("error: dot output is only available for model/oracle", file=err)
+        return 2
     try:
-        cfg = _to_config(ns)
-        return _COMMANDS[cfg.command](cfg, out)
+        return _COMMANDS[ns.command](ns, out)
     except _KNOWN_ERRORS as e:
         print(f"error: {e}", file=err)
         return 2

@@ -46,46 +46,45 @@ def frame_props(logic: Logic) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# Frame predicates
+# Frame properties, on one (n, n) relation or a batch (..., n, n)
 # ---------------------------------------------------------------------------
 
-def is_serial(rel: np.ndarray) -> bool:
-    return bool(rel.any(axis=1).all()) if rel.shape[0] else True
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean product of relations: (a;b)[x, z] iff a[x, y] and b[y, z]
+    for some y (`b` may also be a set of worlds, one bool per world).
+
+    The float32 matmul is exact as a boolean product: each entry sums
+    non-negative 0/1 terms, so no positive count can round to zero.
+    """
+    return np.matmul(a, b, dtype=np.float32) > 0
 
 
-def is_reflexive(rel: np.ndarray) -> bool:
-    return bool(rel.diagonal().all()) if rel.shape[0] else True
+def _missing(rel: np.ndarray, props) -> np.ndarray:
+    """Edges that the reflexive, symmetric, transitive and euclidean
+    conditions among `props` require and `rel` lacks."""
+    conv = np.swapaxes(rel, -1, -2)
+    need = np.zeros_like(rel, dtype=bool)
+    if "reflexive" in props:
+        need |= np.eye(rel.shape[-1], dtype=bool)
+    if "symmetric" in props:
+        need |= conv                          # xRy -> yRx
+    if "transitive" in props:
+        need |= _compose(rel, rel)            # xRy, yRz -> xRz
+    if "euclidean" in props:
+        need |= _compose(conv, rel)           # xRy, xRz -> yRz
+    return need & ~rel
 
 
-def is_symmetric(rel: np.ndarray) -> bool:
-    return bool((rel == rel.T).all())
-
-
-def is_transitive(rel: np.ndarray) -> bool:
-    if rel.shape[0] == 0:
-        return True
-    reach = rel.astype(np.int64) @ rel.astype(np.int64) > 0
-    return not (reach & ~rel).any()
-
-
-def is_euclidean(rel: np.ndarray) -> bool:
-    if rel.shape[0] == 0:
-        return True
-    shared = rel.T.astype(np.int64) @ rel.astype(np.int64) > 0
-    return not (shared & ~rel).any()
-
-
-_PREDICATES = {
-    "serial": is_serial,
-    "reflexive": is_reflexive,
-    "symmetric": is_symmetric,
-    "transitive": is_transitive,
-    "euclidean": is_euclidean,
-}
+def _holds(rel: np.ndarray, props) -> np.ndarray:
+    """Whether each relation has every property in `props`."""
+    ok = ~_missing(rel, props).any(axis=(-2, -1))
+    if "serial" in props:
+        ok &= rel.any(axis=-1).all(axis=-1)
+    return ok
 
 
 def check_frame(rel: np.ndarray, props) -> bool:
-    return all(_PREDICATES[p](rel) for p in props)
+    return bool(_holds(rel, props))
 
 
 # ---------------------------------------------------------------------------
@@ -102,27 +101,14 @@ def frame_closure(rel: np.ndarray, props, candidates: np.ndarray) -> np.ndarray:
     """
     props = set(props)
     rel = rel.astype(bool).copy()
-    n = rel.shape[0]
 
     def close_core():
-        nonlocal rel
-        while True:
-            need = np.zeros_like(rel)
-            if "reflexive" in props:
-                need |= np.eye(n, dtype=bool) & ~rel
-            if "symmetric" in props:
-                need |= rel.T & ~rel
-            if "transitive" in props:
-                need |= (rel.astype(np.int64) @ rel.astype(np.int64) > 0) & ~rel
-            if "euclidean" in props:
-                need |= (rel.T.astype(np.int64) @ rel.astype(np.int64) > 0) & ~rel
-            if not need.any():
-                return
+        while (need := _missing(rel, props)).any():
             if (need & ~candidates).any():
                 i, j = np.argwhere(need & ~candidates)[0]
                 raise ClosureImpossibleError(
                     f"required edge ({i}, {j}) is not admissible")
-            rel |= need
+            rel[need] = True
 
     close_core()
     if "serial" in props:
@@ -246,7 +232,7 @@ def _eval_worlds(k: KripkeModel, f: Formula, cache: dict) -> np.ndarray:
     else:
         sub = _eval_worlds(k, f.operand, cache)
         # true at w iff no successor falsifies the operand
-        out = (k.relation.astype(np.int64) @ (~sub).astype(np.int64)) == 0
+        out = ~_compose(k.relation, ~sub)
     cache[f] = out
     return out
 
@@ -290,19 +276,7 @@ def _frame_relations(n: int, props: frozenset[str]) -> np.ndarray:
     masks = np.arange(count, dtype=np.int64)
     rels = ((masks[:, None] >> np.arange(n * n)) & 1).astype(bool)
     rels = rels.reshape(count, n, n)
-    keep = np.ones(count, dtype=bool)
-    r64 = rels.astype(np.int64)
-    if "reflexive" in props:
-        keep &= rels[:, np.arange(n), np.arange(n)].all(axis=1)
-    if "symmetric" in props:
-        keep &= (rels == rels.transpose(0, 2, 1)).all(axis=(1, 2))
-    if "transitive" in props:
-        keep &= ~(((r64 @ r64 > 0) & ~rels).any(axis=(1, 2)))
-    if "euclidean" in props:
-        keep &= ~(((r64.transpose(0, 2, 1) @ r64 > 0) & ~rels).any(axis=(1, 2)))
-    if "serial" in props:
-        keep &= rels.any(axis=2).all(axis=1)
-    out = rels[keep]
+    out = rels[_holds(rels, props)]
     _relation_cache[key] = out
     return out
 
@@ -322,9 +296,7 @@ def _eval_batch(f: Formula, rels: np.ndarray, vals: dict[str, np.ndarray],
         out = ~_eval_batch(f.left, rels, vals, cache) | _eval_batch(f.right, rels, vals, cache)
     else:
         sub = _eval_batch(f.operand, rels, vals, cache)
-        falsified = np.einsum("cvu,cwu->cvw", (~sub).astype(np.int32),
-                              rels.astype(np.int32))
-        out = falsified == 0
+        out = ~_compose(~sub, rels.transpose(0, 2, 1))
     cache[f] = out
     return out
 

@@ -1,16 +1,17 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from modalcube import values
+from modalcube import kripke, values
 from modalcube.decision import filter_model
 from modalcube.formula import Atom, closure, parse
 from modalcube.kripke import (
     ClosureImpossibleError, KripkeModel, OracleBudgetError, check_frame,
-    forces, frame_closure, frame_props, is_euclidean, is_reflexive,
-    is_serial, is_symmetric, is_transitive, kripke_to_json_dict,
-    oracle_decide, to_dot, to_kripke,
+    forces, frame_closure, frame_props, kripke_to_json_dict, oracle_decide,
+    to_dot, to_kripke,
 )
-from modalcube.logics import lookup
+from modalcube.logics import all_logics, lookup
 
 p, q = Atom("p"), Atom("q")
 
@@ -28,19 +29,72 @@ def km(pairs, n, **atoms):
 
 
 # ---------------------------------------------------------------------------
+# frame properties
+# ---------------------------------------------------------------------------
+
+def _serial(r, n):
+    return all(any(r[x][y] for y in range(n)) for x in range(n))
+
+
+def _reflexive(r, n):
+    return all(r[x][x] for x in range(n))
+
+
+def _symmetric(r, n):
+    return all(r[y][x] for x, y in product(range(n), repeat=2) if r[x][y])
+
+
+def _transitive(r, n):
+    return all(r[x][z] for x, y, z in product(range(n), repeat=3)
+               if r[x][y] and r[y][z])
+
+
+def _euclidean(r, n):
+    return all(r[y][z] for x, y, z in product(range(n), repeat=3)
+               if r[x][y] and r[x][z])
+
+
+FIRST_ORDER = {"serial": _serial, "reflexive": _reflexive,
+               "symmetric": _symmetric, "transitive": _transitive,
+               "euclidean": _euclidean}
+
+PROP_SETS = sorted({frozenset([prop]) for prop in FIRST_ORDER}
+                   | {frame_props(logic) for logic in all_logics()}, key=sorted)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_frame_properties_match_first_order_definitions(n):
+    """check_frame and the oracle's frame enumeration agree with the
+    first-order definitions on every relation over n worlds, bit i*n + j of
+    the mask standing for the edge (i, j)."""
+    rels = [[[bool(mask >> (i * n + j) & 1) for j in range(n)] for i in range(n)]
+            for mask in range(1 << (n * n))]
+    for props in PROP_SETS:
+        agree = []
+        for mask, r in enumerate(rels):
+            want = all(FIRST_ORDER[prop](r, n) for prop in props)
+            assert check_frame(np.array(r, dtype=bool).reshape(n, n), props) == want, \
+                (n, mask, sorted(props))
+            if want:
+                agree.append(r)
+        got = kripke._frame_relations(n, props)
+        assert got.shape == (len(agree), n, n) and got.tolist() == agree, sorted(props)
+
+
+# ---------------------------------------------------------------------------
 # frame closure
 # ---------------------------------------------------------------------------
 
 def test_transitive_closure_adds_pair():
     full = np.ones((3, 3), dtype=bool)
     out = frame_closure(rel_of([(0, 1), (1, 2)], 3), {"transitive"}, full)
-    assert out[0, 2] and is_transitive(out)
+    assert out[0, 2] and check_frame(out, {"transitive"})
 
 
 def test_symmetric_closure():
     full = np.ones((2, 2), dtype=bool)
     out = frame_closure(rel_of([(0, 1)], 2), {"symmetric"}, full)
-    assert out[1, 0] and is_symmetric(out)
+    assert out[1, 0] and check_frame(out, {"symmetric"})
 
 
 def test_reflexive_closure_of_empty():
@@ -52,7 +106,7 @@ def test_reflexive_closure_of_empty():
 def test_serial_closure_picks_first_candidate():
     cand = rel_of([(0, 1), (0, 0), (1, 0)], 2)
     out = frame_closure(np.zeros((2, 2), dtype=bool), {"serial"}, cand)
-    assert is_serial(out)
+    assert check_frame(out, {"serial"})
     assert out[0, 0] and not out[0, 1]   # (0,0) precedes (0,1)
 
 
@@ -104,7 +158,7 @@ def test_forces_unknown_atom_is_false():
 def test_to_kripke_reflexive_logics_have_self_loops():
     model = filter_model(lookup("KT"), closure([parse("[]p -> p")]))
     k = to_kripke(model)
-    assert is_reflexive(k.relation)
+    assert check_frame(k.relation, {"reflexive"})
 
 
 def test_to_kripke_stable_row_is_dead_end():
@@ -121,6 +175,18 @@ def test_to_kripke_frame_properties(logic_name):
     model = filter_model(logic, closure([parse("[]p -> <>q")]))
     k = to_kripke(model)
     assert check_frame(k.relation, frame_props(logic))
+
+
+def test_to_kripke_large_kd4_model_is_a_kd4_frame():
+    logic = lookup("KD4")
+    model = filter_model(logic, closure([parse("([]p & []q) -> [](p | r)")]))
+    assert model.row_count == 960
+    rel = to_kripke(model).relation
+    assert check_frame(rel, frame_props(logic))
+    assert not (rel & ~model.relation_matrix()).any()
+    assert rel.any(axis=1).all()
+    for i in range(rel.shape[0]):   # transitive, one row at a time
+        assert (rel[rel[i]].any(axis=0) <= rel[i]).all()
 
 
 def test_to_kripke_valuation_tracks_designation():
@@ -152,7 +218,7 @@ def test_to_kripke_supports_stay_witnessed(logic_name):
 def test_euclidean_subrelation_on_boxed_closure():
     model = filter_model(lookup("K5"), closure([parse("[]p")]))
     k = to_kripke(model)
-    assert is_euclidean(k.relation)
+    assert check_frame(k.relation, {"euclidean"})
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +243,7 @@ def test_oracle_counterexample_for_four_in_kt_needs_three_worlds():
     assert not oracle_decide(lookup("KT"), [], parse("[]p -> [][]p"), 2).found
     verdict = oracle_decide(lookup("KT"), [], parse("[]p -> [][]p"), 3)
     assert verdict.found and verdict.countermodel.world_count == 3
-    assert is_reflexive(verdict.countermodel.relation)
+    assert check_frame(verdict.countermodel.relation, {"reflexive"})
     assert not forces(verdict.countermodel, verdict.world, parse("[]p -> [][]p"))
 
 
