@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -49,41 +50,28 @@ class MissingSubformulaError(ValueError):
 # Successor constraints
 # ---------------------------------------------------------------------------
 
-# Which values may appear at a successor of a row holding a given value, per
-# logic.  A missing entry means "any admissible value"; an empty entry means
-# the value admits no successors at all (the stable values).
-_ALLOWED = {
-    "K":    {"T": "T t tt ttt", "tt": "", "ttt": "F f ff fff", "fff": "T t tt ttt", "ff": "", "F": "F f ff fff"},
-    "KB":   {"T": "T t", "t": "T t f fff", "tt": "", "ttt": "f fff", "fff": "t ttt", "ff": "", "f": "F f t ttt", "F": "F f"},
-    "K4":   {"T": "T tt", "tt": "", "ttt": "F ff", "fff": "T tt", "ff": "", "F": "F ff"},
-    "K5":   {"T": "T t", "t": "t f", "tt": "", "ttt": "F f", "fff": "T t", "ff": "", "f": "t f", "F": "F f"},
-    "K45":  {"T": "T", "t": "t f", "tt": "", "ttt": "F", "fff": "T", "ff": "", "f": "t f", "F": "F"},
-    "KB5":  {"T": "T", "t": "t f", "tt": "", "ff": "", "f": "t f", "F": "F"},
-    "KD":   {"T": "T t ttt", "ttt": "F f fff", "fff": "T t ttt", "F": "F f fff"},
-    "KDB":  {"T": "T t", "t": "T t f fff", "ttt": "f fff", "fff": "t ttt", "f": "F f t ttt", "F": "F f"},
-    "KD4":  {"T": "T", "ttt": "F", "fff": "T", "F": "F"},
-    "KD5":  {"T": "T t", "t": "t f", "ttt": "F f", "fff": "T t", "f": "t f", "F": "F f"},
-    "KD45": {"T": "T", "t": "t f", "ttt": "F", "fff": "T", "f": "t f", "F": "F"},
-    "KT":   {"T": "T t", "F": "F f"},
-    "KTB":  {"T": "T t", "t": "T t f", "f": "F t f", "F": "F f"},
-    "KT4":  {"T": "T", "F": "F"},
-    "KT45": {"T": "T", "t": "t f", "f": "t f", "F": "F"},
-}
-
-_allowed_cache: dict[str, np.ndarray] = {}
-_req_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+# A value in the first set allows only successors with a value in the
+# second, in every logic with the axiom (None: necessitation, in all of them).
+# D and T constrain the values, not the successors.  A stable value is both
+# necessary and impossible, so it admits no successors at all.
+_SUCCESSOR_CONDITIONS = (
+    (None, "N", "D"), (None, "I", "Dc"),
+    ("B", "D", "P"), ("B", "Dc", "PN"),
+    ("4", "N", "N"), ("4", "I", "I"),
+    ("5", "P", "P"), ("5", "PN", "PN"),
+)
 
 
+@cache
 def _allowed_masks(logic: Logic) -> np.ndarray:
     """uint8[8]: allowed-successor mask per value (0 outside the logic)."""
-    arr = _allowed_cache.get(logic.name)
-    if arr is None:
-        arr = np.zeros(8, dtype=np.uint8)
-        table = _ALLOWED[logic.name]
-        for v in values.values_in(logic.values_mask):
-            name = values.VALUE_NAMES[v]
-            arr[v] = mask_of(table[name]) if name in table else logic.values_mask
-        _allowed_cache[logic.name] = arr
+    arr = np.zeros(8, dtype=np.uint8)
+    for v in values.values_in(logic.values_mask):
+        out = logic.values_mask
+        for axiom, held, needed in _SUCCESSOR_CONDITIONS:
+            if (axiom is None or axiom in logic.frame_props) and values.member(v, held):
+                out &= values.NAMED_SETS[needed]
+        arr[v] = out
     return arr
 
 
@@ -93,21 +81,18 @@ def allowed_successors(logic: Logic, v: int) -> int:
     return int(_allowed_masks(logic)[v])
 
 
+@cache
 def _requirement_masks(logic: Logic) -> tuple[np.ndarray, np.ndarray]:
     """Per value: the designated-side and non-designated-side witness masks."""
-    pair = _req_cache.get(logic.name)
-    if pair is None:
-        allowed = _allowed_masks(logic)
-        preq = np.zeros(8, dtype=np.uint8)
-        pnreq = np.zeros(8, dtype=np.uint8)
-        for v in values.values_in(logic.values_mask):
-            if values.member(v, "P"):
-                preq[v] = allowed[v] & logic.designated_mask
-            if values.member(v, "PN"):
-                pnreq[v] = allowed[v] & logic.nondesignated_mask
-        pair = (preq, pnreq)
-        _req_cache[logic.name] = pair
-    return pair
+    allowed = _allowed_masks(logic)
+    preq = np.zeros(8, dtype=np.uint8)
+    pnreq = np.zeros(8, dtype=np.uint8)
+    for v in values.values_in(logic.values_mask):
+        if values.member(v, "P"):
+            preq[v] = allowed[v] & logic.designated_mask
+        if values.member(v, "PN"):
+            pnreq[v] = allowed[v] & logic.nondesignated_mask
+    return preq, pnreq
 
 
 def support_requirements(logic: Logic, v: int) -> list[int]:
@@ -383,53 +368,46 @@ _CELL_F3 = mask_of("F f fff")
 _CELL_TT = mask_of("T t")
 _CELL_FF = mask_of("F f")
 _CELL_T_TTT = mask_of("T ttt")
-_CELL_F_FFF = mask_of("f fff")
 
 
 def _succ_profile(rel: np.ndarray, flag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(has, all): per row, whether some / every successor satisfies flag."""
-    hits = rel @ flag.astype(np.int64)
-    count = rel.sum(axis=1)
-    return hits > 0, hits == count
+    return (rel & flag).any(axis=1), ~(rel & ~flag).any(axis=1)
 
 
 def _box_extension(model: TableModel, col: np.ndarray, opts: np.ndarray) -> np.ndarray:
-    logic = model.logic
-    name = logic.name
-    n = col.shape[0]
+    """One box value per row, chosen by the row's non-deterministic cell."""
     out = _SINGLE_VALUE[opts].copy()
     multi = _POPCOUNT[opts] > 1
     if not multi.any():
         return out
     rel = model.relation_matrix()
 
-    choice = np.zeros(n, dtype=np.uint8)
-    if name in ("KT", "KTB"):
-        # a T at some successor and a non-T at another makes the box value
-        # contingent; reflexivity supplies one side, symmetry pairs up the
-        # lowercase choices between neighbours
+    pair = multi & ((opts == _CELL_TT) | (opts == _CELL_FF))
+    if pair.any():
+        # reflexive logics: a T at some successor and a non-T at another make
+        # the box value contingent (the row itself is one of its successors)
         has_up, _ = _succ_profile(rel, col == values.T)
         has_dn, _ = _succ_profile(rel, col != values.T)
         mixed = has_up & has_dn
         choice = np.where(opts == _CELL_TT,
                           np.where(mixed, values.t, values.T),
-                          np.where(mixed, values.f, values.F)).astype(np.uint8)
-    elif name == "KT4":
-        has_top, _ = _succ_profile(rel, col == values.T)
-        choice = np.where(has_top, values.f, values.F).astype(np.uint8)
-    elif name in ("K", "KB", "KD", "KDB", "K4", "KD4"):
+                          np.where(mixed, values.f, values.F))
+        out[pair] = choice[pair]
+    triple = multi & ((opts == _CELL_T3) | (opts == _CELL_F3))
+    if triple.any():
         has_n, all_n = _succ_profile(rel, in_mask(values.N_MASK, col))
         up = np.where(opts == _CELL_T3, values.T, values.fff)
         dn = np.where(opts == _CELL_T3, values.ttt, values.F)
         mid = np.where(opts == _CELL_T3, values.t, values.f)
-        choice = np.where(all_n, up, np.where(~has_n, dn, mid)).astype(np.uint8)
-    elif name in ("K5", "KD5"):
+        choice = np.where(all_n, up, np.where(~has_n, dn, mid))
+        out[triple] = choice[triple]
+    euclid = multi & (opts == _CELL_T_TTT)
+    if euclid.any():
         has_non_n, _ = _succ_profile(rel, ~in_mask(values.N_MASK, col))
-        choice = np.where(has_non_n, values.ttt, values.T).astype(np.uint8)
-    else:
-        raise AssertionError(f"unexpected non-deterministic box cell in {name}")
-
-    out[multi] = choice[multi]
+        out[euclid] = np.where(has_non_n, values.ttt, values.T)[euclid]
+    if (multi & ~(pair | triple | euclid)).any():
+        raise AssertionError("unexpected non-deterministic box cell")
     return out
 
 

@@ -142,8 +142,8 @@ class KripkeModel:
 
 def _euclidean_support_relation(logic: Logic, model: TableModel,
                                 maximal: np.ndarray) -> np.ndarray:
-    """Euclidean support relation for the logics whose maximal relation is
-    not itself euclidean (K5 and KD5).
+    """Euclidean support relation for the logics with 5 but not 4 (K5 and
+    KD5), whose maximal relation need not be euclidean.
 
     Successor rows must be self-admissible, which restricts their values to
     T, F, t, f.  Rows sharing the T/F/contingent signature are mutually
@@ -203,7 +203,7 @@ def to_kripke(model: TableModel) -> KripkeModel:
     """One world per row; an atom holds where its value is designated."""
     logic = model.logic
     maximal = model.relation_matrix()
-    if logic.name in ("K5", "KD5"):
+    if "5" in logic.frame_props and "4" not in logic.frame_props:
         rel = _euclidean_support_relation(logic, model, maximal)
     else:
         rel = frame_closure(maximal, frame_props(logic), maximal)

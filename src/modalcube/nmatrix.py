@@ -1,16 +1,16 @@
 """Per-logic non-deterministic truth functions for bot, -> and [].
 
-The tables are embedded as literal data and compiled to uint8 mask arrays at
-import time.  Derived connectives are
-never hand-tabulated: negation is the bot column of the implication table and
-diamond is computed by composing negation and box over every intermediate
-choice.
+Falsum and implication are literal data shared by all logics and restricted
+to each logic's values.  The box column is derived from the logic's axioms,
+one condition per axiom.  Derived connectives are never hand-tabulated:
+negation is the bot column of the implication table and diamond is computed
+by composing negation and box over every intermediate choice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .values import mask_of
 
 __all__ = [
     "Nmatrix", "nmatrix", "ValueNotInLogicError",
-    "IMP_TABLE", "BOX_TABLE", "BOT_VALUES",
+    "IMP_TABLE", "BOT_VALUES",
 ]
 
 
@@ -47,31 +47,42 @@ IMP_TABLE = {
 
 BOT_VALUES = "F ff"
 
-# Box: one column per logic, rows restricted to the logic's admissible values.
-BOX_TABLE = {
-    "K":    {"F": "F f fff", "f": "F f fff", "ff": "tt", "fff": "T t ttt", "ttt": "F f fff", "tt": "tt", "t": "F f fff", "T": "T t ttt"},
-    "KB":   {"F": "F",       "f": "F",       "ff": "tt", "fff": "ttt",     "ttt": "F f fff", "tt": "tt", "t": "F f fff", "T": "T t ttt"},
-    "K4":   {"F": "F f fff", "f": "F f fff", "ff": "tt", "fff": "T",       "ttt": "F f fff", "tt": "tt", "t": "F f fff", "T": "T"},
-    "K5":   {"F": "F",       "f": "F",       "ff": "tt", "fff": "T ttt",   "ttt": "F",       "tt": "tt", "t": "F",       "T": "T ttt"},
-    "K45":  {"F": "F",       "f": "F",       "ff": "tt", "fff": "T",       "ttt": "F",       "tt": "tt", "t": "F",       "T": "T"},
-    "KB5":  {"F": "F",       "f": "F",       "ff": "tt", "tt": "tt",       "t": "F",         "T": "T"},
-    "KD":   {"F": "F f fff", "f": "F f fff", "fff": "T t ttt", "ttt": "F f fff", "t": "F f fff", "T": "T t ttt"},
-    "KDB":  {"F": "F",       "f": "F",       "fff": "ttt",     "ttt": "F f fff", "t": "F f fff", "T": "T t ttt"},
-    "KD4":  {"F": "F",       "f": "F f fff", "fff": "T",       "ttt": "F",       "t": "F f fff", "T": "T"},
-    "KD5":  {"F": "F",       "f": "F",       "fff": "T ttt",   "ttt": "F",       "t": "F",       "T": "T ttt"},
-    "KD45": {"F": "F",       "f": "F",       "fff": "T",       "ttt": "F",       "t": "F",       "T": "T"},
-    "KT":   {"F": "F", "f": "F f", "t": "F f", "T": "T t"},
-    "KTB":  {"F": "F", "f": "F",   "t": "F f", "T": "T t"},
-    "KT4":  {"F": "F", "f": "F f", "t": "F f", "T": "T"},
-    "KT45": {"F": "F", "f": "F",   "t": "F",   "T": "T"},
-}
-
 _IMP_MASKS = np.zeros((8, 8), dtype=np.uint8)
 for _a, _row in IMP_TABLE.items():
     for _b, _cell in _row.items():
         _IMP_MASKS[values.value_id(_a), values.value_id(_b)] = mask_of(_cell)
 
 _BOT_MASK = mask_of(BOT_VALUES)
+
+
+def _box_column(logic: Logic) -> np.ndarray:
+    """uint8[8]: the values of []a per value a (0 outside the logic).
+
+    In K, []a is designated iff a is necessary (in N); a non-stable a gives
+    a non-stable value and a stable a gives tt.  Each axiom then narrows
+    the cell: 4 keeps a necessary a's box necessary, B makes a false a's
+    box impossible (I), 5 makes an unnecessary a's box impossible and a
+    necessary a's box necessary or impossible, and T (or D together with 4)
+    keeps an impossible a's box impossible.
+    """
+    props = logic.frame_props
+    col = np.zeros(8, dtype=np.uint8)
+    for a in values.values_in(logic.values_mask):
+        necessary = values.member(a, "N")
+        if values.STABLE_MASK >> a & 1:
+            out = 1 << values.tt
+        else:
+            out = (values.D_MASK if necessary else values.DC_MASK) & ~values.STABLE_MASK
+        if "4" in props and necessary:
+            out &= values.N_MASK
+        if "B" in props and values.member(a, "Dc"):
+            out &= values.I_MASK
+        if "5" in props:
+            out &= values.N_MASK | values.I_MASK if necessary else values.I_MASK
+        if ("T" in props or {"D", "4"} <= props) and values.member(a, "I"):
+            out &= values.I_MASK
+        col[a] = out & logic.values_mask
+    return col
 
 
 @dataclass(frozen=True)
@@ -123,20 +134,15 @@ class Nmatrix:
         return out
 
 
-@lru_cache(maxsize=None)
-def _nmatrix_by_name(name: str) -> Nmatrix:
-    logic = lookup(name)
+@cache
+def _nmatrix_of(logic: Logic) -> Nmatrix:
     vmask = logic.values_mask
     imp = np.zeros((8, 8), dtype=np.uint8)
     for a in values.values_in(vmask):
         for b in values.values_in(vmask):
             imp[a, b] = _IMP_MASKS[a, b] & vmask
-    box = np.zeros(8, dtype=np.uint8)
-    for a_name, cell in BOX_TABLE[logic.name].items():
-        box[values.value_id(a_name)] = mask_of(cell)
-    return Nmatrix(logic, _BOT_MASK & vmask, imp, box)
+    return Nmatrix(logic, _BOT_MASK & vmask, imp, _box_column(logic))
 
 
 def nmatrix(logic: Logic | str) -> Nmatrix:
-    name = logic if isinstance(logic, str) else logic.name
-    return _nmatrix_by_name(lookup(name).name)
+    return _nmatrix_of(lookup(logic) if isinstance(logic, str) else logic)

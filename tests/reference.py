@@ -3,9 +3,9 @@
 Everything here is deliberately naive: plain python sets, generate-all-then-
 filter enumeration, no masks, no vectorization.  It reads its truth tables
 from the JSON transcription in tests/data and derives the successor
-constraints from the per-axiom relational conditions instead of using the
-library's compiled tables, so a transcription slip on either side shows up
-as a mismatch.
+constraints from the per-axiom relational conditions with its own code
+instead of calling the library's, so a slip on either side shows up as a
+mismatch.
 """
 
 from __future__ import annotations
@@ -51,9 +51,10 @@ def bot_cell(name: str) -> frozenset[str]:
 def allowed_successors(name: str, v: str) -> frozenset[str]:
     """Successor constraint derived from the per-axiom relational conditions.
 
-    Independent route: the library embeds the compiled per-logic tables, this
-    rebuilds them from the conditions attached to necessitation and to the
-    axioms b, 4 and 5 (d and t constrain values, not successors).
+    Independent route: the library computes its successor masks from the
+    same conditions, this rebuilds them with plain sets from the conditions
+    attached to necessitation and to the axioms b, 4 and 5 (d and t
+    constrain values, not successors).
     """
     out = set(logic_values(name))
     props = FRAME_PROPS[name]
