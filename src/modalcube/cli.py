@@ -143,7 +143,7 @@ def _cmd_model(ns: argparse.Namespace, out) -> int:
     if ns.format == "dot":
         print(kripke.to_dot(km), end="", file=out)
     else:
-        print(json.dumps(kripke.kripke_to_json_dict(km), indent=2), file=out)
+        print(kripke.kripke_to_json(km), file=out)
     return 0
 
 

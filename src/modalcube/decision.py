@@ -268,8 +268,7 @@ class TableModel:
         return self._relation
 
     def relation_pairs(self) -> list[list[int]]:
-        rel = self.relation_matrix()
-        return [[int(i), int(j)] for i, j in np.argwhere(rel)]
+        return np.argwhere(self.relation_matrix()).tolist()
 
     def row_names(self, index: int) -> tuple[str, ...]:
         return tuple(values.VALUE_NAMES[v] for v in self.rows[index])
@@ -469,17 +468,42 @@ def extend_column(model: TableModel, f: Formula) -> TableModel:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def model_to_json_dict(model: TableModel) -> dict:
+def _json_with_relation(payload: dict, rel: np.ndarray) -> str:
+    """`json.dumps(payload, indent=2)` where the top-level `"relation"`,
+    None in `payload`, is the edge list of the bool matrix `rel`.
+
+    The list text is written straight from the matrix, one join per source
+    row over per-target strings, instead of through the pure-Python indent
+    encoder.  It replaces the `"relation": null` that json prints: no string
+    value can contain that literal, because json escapes its quotes.
+    """
+    targets = np.array([f"{j}\n    ]" for j in range(rel.shape[1])], dtype=object)
+    sources = []
+    for i in np.flatnonzero(rel.any(axis=1)):
+        head = f"    [\n      {i},\n      "
+        sources.append(head + (",\n" + head).join(targets.compress(rel[i]).tolist()))
+    before, after = json.dumps(payload, indent=2).split('"relation": null', 1)
+    if not sources:
+        return before + '"relation": []' + after
+    return "".join([before, '"relation": [\n', ",\n".join(sources), "\n  ]", after])
+
+
+def _model_payload(model: TableModel, relation) -> dict:
     return {
         "logic": model.logic.name,
         "closure": [print_formula(f, resugar=True) for f in model.closure.formulas],
         "rows": [[values.VALUE_NAMES[v] for v in row] for row in model.rows],
-        "relation": model.relation_pairs(),
+        "relation": relation,
     }
 
 
+def model_to_json_dict(model: TableModel) -> dict:
+    return _model_payload(model, model.relation_pairs())
+
+
 def model_to_json(model: TableModel) -> str:
-    return json.dumps(model_to_json_dict(model), indent=2)
+    """`json.dumps(model_to_json_dict(model), indent=2)`, byte for byte."""
+    return _json_with_relation(_model_payload(model, None), model.relation_matrix())
 
 
 def model_to_csv(model: TableModel) -> str:

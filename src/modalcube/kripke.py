@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import values
-from .decision import TableModel, _requirement_masks
+from .decision import TableModel, _json_with_relation, _requirement_masks
 from .formula import Atom, Falsum, Formula, Implies, atom_names
 from .logics import Logic
 from .values import in_mask
@@ -352,12 +352,21 @@ def oracle_decide(logic: Logic, assumptions, goal: Formula,
 # Output formats
 # ---------------------------------------------------------------------------
 
-def kripke_to_json_dict(k: KripkeModel) -> dict:
+def _kripke_payload(k: KripkeModel, relation) -> dict:
     return {
         "worlds": k.world_count,
-        "relation": [[int(i), int(j)] for i, j in np.argwhere(k.relation)],
-        "valuation": {name: [bool(b) for b in arr] for name, arr in k.valuation.items()},
+        "relation": relation,
+        "valuation": {name: arr.tolist() for name, arr in k.valuation.items()},
     }
+
+
+def kripke_to_json_dict(k: KripkeModel) -> dict:
+    return _kripke_payload(k, np.argwhere(k.relation).tolist())
+
+
+def kripke_to_json(k: KripkeModel) -> str:
+    """`json.dumps(kripke_to_json_dict(k), indent=2)`, byte for byte."""
+    return _json_with_relation(_kripke_payload(k, None), k.relation)
 
 
 def to_dot(k: KripkeModel) -> str:

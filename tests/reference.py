@@ -1,16 +1,15 @@
 """Brute-force reference semantics used as an independent oracle in tests.
 
-Everything here is deliberately naive: plain python sets, generate-all-then-
-filter enumeration, no masks, no vectorization.  It reads its truth tables
-from the JSON transcription in tests/data and derives the successor
-constraints from the per-axiom relational conditions with its own code
-instead of calling the library's, so a slip on either side shows up as a
-mismatch.
+Everything here is deliberately naive: plain python sets, rows grown one
+value at a time with each cell checked as the value is added, no masks, no
+vectorization.  It reads its truth tables from the JSON transcription in
+tests/data and derives the successor constraints from the per-axiom
+relational conditions with its own code instead of calling the library's,
+so a slip on either side shows up as a mismatch.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from pathlib import Path
 
@@ -86,29 +85,38 @@ def requirements(name: str, v: str) -> list[frozenset[str]]:
     return out
 
 
+def _admits(name: str, f, row: dict, v: str) -> bool:
+    """Whether v is in the table cell of f under the values already in row."""
+    if isinstance(f, Falsum):
+        return v in bot_cell(name)
+    if isinstance(f, Implies):
+        return v in imp_cell(name, row[f.left], row[f.right])
+    if isinstance(f, Box):
+        return v in box_cell(name, row[f.operand])
+    return True
+
+
 def enumerate_rows(name: str, formulas) -> list[tuple[str, ...]]:
-    """All table-compatible, stability-respecting rows, generate-then-filter."""
+    """All table-compatible, stability-respecting rows.
+
+    Rows grow one formula at a time, and a prefix is dropped as soon as its
+    newest value leaves the table cell or mixes stable with non-stable
+    values.  The formulas must come after their subformulas (closure order),
+    so every cell's arguments are assigned before the cell is checked.
+    """
     formulas = list(formulas)
-    vals = logic_values(name)
-    rows = []
-    for combo in itertools.product(sorted(vals, key=ALL_VALUES.index),
-                                   repeat=len(formulas)):
-        assign = dict(zip(formulas, combo))
-        ok = True
-        for f, v in assign.items():
-            if isinstance(f, Falsum):
-                ok = v in bot_cell(name)
-            elif isinstance(f, Implies):
-                ok = v in imp_cell(name, assign[f.left], assign[f.right])
-            elif isinstance(f, Box):
-                ok = v in box_cell(name, assign[f.operand])
-            if not ok:
-                break
-        if not ok:
-            continue
-        if any(v in STABLE for v in combo) and not all(v in STABLE for v in combo):
-            continue
-        rows.append(combo)
+    vals = sorted(logic_values(name), key=ALL_VALUES.index)
+    rows = [()]
+    for k, f in enumerate(formulas):
+        grown = []
+        for row in rows:
+            assign = dict(zip(formulas, row))
+            for v in vals:
+                if k and (v in STABLE) != (row[0] in STABLE):
+                    continue
+                if _admits(name, f, assign, v):
+                    grown.append(row + (v,))
+        rows = grown
     rows.sort(key=lambda row: tuple(ALL_VALUES.index(v) for v in row))
     return rows
 

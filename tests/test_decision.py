@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,8 @@ from modalcube._accel import compat_matrix, signatures, support_filter_round
 from modalcube.decision import (
     RowLimitError, MissingSubformulaError, _kernel_inputs, allowed_successors,
     build_relation, decide, enumerate_rows, extend_column, filter_model,
-    filter_rows, level_filter, model_to_csv, model_to_json_dict,
-    support_requirements, validate_rows,
+    TableModel, filter_rows, level_filter, model_to_csv, model_to_json,
+    model_to_json_dict, support_requirements, validate_rows,
 )
 from modalcube.formula import Atom, Box, Implies, closure, parse, print_formula
 from modalcube.logics import lookup
@@ -444,3 +447,50 @@ def test_model_csv_and_json():
     assert payload["closure"] == ["p", "p -> p"]
     assert all(len(r) == 2 for r in payload["rows"])
     assert all(len(e) == 2 for e in payload["relation"])
+
+
+def assert_same_text(got: str, want: str):
+    """`got == want`, reporting the first difference instead of pytest's
+    diff, which takes minutes on megabytes of text."""
+    if got != want:
+        i = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"texts differ at offset {i}: "
+                    f"{got[max(0, i - 40):i + 40]!r} != {want[max(0, i - 40):i + 40]!r}")
+
+
+# model_to_json writes the relation list itself; json.dumps of the structured
+# dict is the reference it must match byte for byte.
+def assert_json_matches_dict(model):
+    assert_same_text(model_to_json(model), json.dumps(model_to_json_dict(model), indent=2))
+
+
+def test_model_json_is_byte_identical(logic_name):
+    for text in ("p", "bot", "p -> p", "[]p -> p", "<>p", "[](p -> q)", "[]p -> [][]p"):
+        assert_json_matches_dict(filter_model(lookup(logic_name), closure([parse(text)])))
+
+
+def test_model_json_is_byte_identical_on_604_rows():
+    model = filter_model(lookup("K"), closure([parse("[](p -> q) -> ([]p -> []q)")]))
+    assert model.row_count == 604
+    assert_json_matches_dict(model)
+
+
+def hand_model(n, edges):
+    """n rows over the closure of p -> p, with exactly the given edges."""
+    rows = np.full((n, 2), values.T, dtype=np.uint8)
+    rel = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        rel[i, j] = True
+    return TableModel(lookup("K"), closure([parse("p -> p")]), rows, _relation=rel)
+
+
+@pytest.mark.parametrize("n,edges", [
+    (0, []),                                    # no rows
+    (3, []),                                    # rows, no edge
+    (3, [(1, 2)]),                              # one edge
+    (5, [(0, 0), (0, 4), (2, 1), (4, 0), (4, 3)]),  # rows 1 and 3 have no successor
+])
+def test_model_json_is_byte_identical_on_hand_built_relations(n, edges):
+    model = hand_model(n, edges)
+    assert_json_matches_dict(model)
+    assert model_to_json_dict(model)["relation"] == [list(e) for e in edges]

@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import numpy as np
@@ -8,8 +9,8 @@ from modalcube.decision import filter_model
 from modalcube.formula import Atom, closure, parse
 from modalcube.kripke import (
     ClosureImpossibleError, KripkeModel, OracleBudgetError, check_frame,
-    forces, frame_closure, frame_props, kripke_to_json_dict, oracle_decide,
-    to_dot, to_kripke,
+    forces, frame_closure, frame_props, kripke_to_json, kripke_to_json_dict,
+    oracle_decide, to_dot, to_kripke,
 )
 from modalcube.logics import all_logics, lookup
 
@@ -298,4 +299,13 @@ def test_json_output():
     payload = kripke_to_json_dict(model)
     assert payload["worlds"] == 2
     assert [0, 1] in payload["relation"] and [1, 1] in payload["relation"]
-    assert payload["valuation"]["p"] == [True, False]
+    assert json.dumps(payload["valuation"]) == '{"p": [true, false]}'
+
+
+def test_json_text_is_byte_identical():
+    extracted = [to_kripke(filter_model(lookup(name), closure([parse("[]p -> p")])))
+                 for name in ("KT", "K5")]   # frame closure; euclidean support
+    counter = oracle_decide(lookup("KT"), [], parse("[]p -> [][]p"), 3).countermodel
+    assert counter.world_count == 3
+    for model in (*extracted, counter, km([], 0), km([(0, 1), (1, 1)], 2, p=[True, False])):
+        assert kripke_to_json(model) == json.dumps(kripke_to_json_dict(model), indent=2)
