@@ -166,6 +166,8 @@ def _cmd_oracle(ns: argparse.Namespace, out) -> int:
 
 def _cmd_xcheck(ns: argparse.Namespace, out) -> int:
     logic = lookup(ns.logic)
+    if not 1 <= ns.atoms <= 11:
+        raise ValueError(f"--atoms must be between 1 and 11 (p to z), got {ns.atoms}")
     rng = random.Random(ns.seed)
     atoms = [chr(ord("p") + i) for i in range(ns.atoms)]
     agree = refuted = unresolved = 0

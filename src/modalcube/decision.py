@@ -21,12 +21,13 @@ from . import values
 from ._accel import compat_matrix, signatures, support_filter_round
 from .formula import Atom, Box, Closure, Falsum, Formula, children, closure, print_formula
 from .logics import Logic
-from .nmatrix import nmatrix
+from .nmatrix import Nmatrix, nmatrix
 from .values import in_mask, mask_of
 
 ROW_CAP_DEFAULT = 2_000_000
 
 _POPCOUNT = np.array([bin(x).count("1") for x in range(256)], dtype=np.int64)
+_BITS = np.arange(8, dtype=np.uint8)
 _SINGLE_VALUE = np.full(256, 255, dtype=np.uint8)
 for _v in range(8):
     _SINGLE_VALUE[1 << _v] = _v
@@ -122,16 +123,8 @@ def _expand(rows: np.ndarray, cell_masks: np.ndarray, row_cap: int) -> np.ndarra
     total = int(_POPCOUNT[cell_masks].sum())
     if total > row_cap:
         raise RowLimitError(total, row_cap)
-    pieces = []
-    for v in range(8):
-        has = cell_masks >> v & 1 == 1
-        if has.any():
-            block = rows[has]
-            col = np.full((block.shape[0], 1), v, dtype=np.uint8)
-            pieces.append(np.hstack([block, col]))
-    if not pieces:
-        return np.zeros((0, rows.shape[1] + 1), dtype=np.uint8)
-    return np.vstack(pieces)
+    src, v = np.nonzero((cell_masks[:, None] >> _BITS) & 1)
+    return np.hstack([rows[src], v.astype(np.uint8)[:, None]])
 
 
 def _lexsorted(rows: np.ndarray) -> np.ndarray:
@@ -140,70 +133,53 @@ def _lexsorted(rows: np.ndarray) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
+def _cells(mat: Nmatrix, rows: np.ndarray, kind: str, i: int, j: int,
+           atoms: int, bot: int) -> np.ndarray:
+    """Per row, the admissible-value mask of one closure position.
+
+    Atoms and falsum take the given masks; box and implication read the
+    Nmatrix at the row's values of their arguments.
+    """
+    if kind == "box":
+        return mat.box_masks[rows[:, i]]
+    if kind == "imp":
+        return mat.imp_masks[rows[:, i], rows[:, j]]
+    return np.full(rows.shape[0], atoms if kind == "atom" else bot, dtype=np.uint8)
+
+
 def enumerate_rows(logic: Logic, clo: Closure, row_cap: int = ROW_CAP_DEFAULT) -> np.ndarray:
     """All table-compatible rows over the closure, lexicographically sorted.
 
-    Rows mixing stable (tt/ff) with non-stable values are never generated:
-    the non-stable branch keeps atoms away from tt/ff (compound cells then
-    stay non-stable on their own), and the stable branch is the classical
-    two-valued table with tt as true and ff as false, box constantly tt.
+    Rows mixing stable (tt/ff) with non-stable values are never generated.
+    The same Nmatrix loop runs once per fragment: with non-stable atoms and
+    falsum F, whose compound cells then stay non-stable on their own, and,
+    when the logic has tt/ff, with stable atoms and falsum ff, whose cells
+    form the two-valued stable fragment of the same Nmatrix.
     """
     mat = nmatrix(logic)
-    struct = clo.structure()
     vmask = logic.values_mask
-
-    rows = np.zeros((1, 0), dtype=np.uint8)
-    nonstable_atoms = np.uint8(vmask & ~values.STABLE_MASK)
-    for kind, i, j in struct:
-        if kind == "atom":
-            cells = np.full(rows.shape[0], nonstable_atoms, dtype=np.uint8)
-        elif kind == "bot":
-            cells = np.full(rows.shape[0], 1 << values.F, dtype=np.uint8)
-        elif kind == "box":
-            cells = mat.box_masks[rows[:, i]]
-        else:
-            cells = mat.imp_masks[rows[:, i], rows[:, j]]
-        rows = _expand(rows, cells, row_cap)
-
+    fragments = [(vmask & ~values.STABLE_MASK, 1 << values.F)]
     if vmask & values.STABLE_MASK == values.STABLE_MASK:
-        stable = np.zeros((1, 0), dtype=np.uint8)
-        for kind, i, j in struct:
-            n = stable.shape[0]
-            if kind == "atom":
-                col = np.full(n, 1 << values.ff | 1 << values.tt, dtype=np.uint8)
-                stable = _expand(stable, col, row_cap)
-                continue
-            if kind == "bot":
-                col = np.full(n, values.ff, dtype=np.uint8)
-            elif kind == "box":
-                col = np.full(n, values.tt, dtype=np.uint8)
-            else:
-                false_out = (stable[:, i] == values.tt) & (stable[:, j] == values.ff)
-                col = np.where(false_out, values.ff, values.tt).astype(np.uint8)
-            stable = np.hstack([stable, col.reshape(-1, 1)])
-        if rows.shape[0] + stable.shape[0] > row_cap:
-            raise RowLimitError(rows.shape[0] + stable.shape[0], row_cap)
-        rows = np.vstack([rows, stable])
-
-    return _lexsorted(rows)
+        fragments.append((values.STABLE_MASK, 1 << values.ff))
+    parts = []
+    for atoms, bot in fragments:
+        rows = np.zeros((1, 0), dtype=np.uint8)
+        for kind, i, j in clo.structure():
+            rows = _expand(rows, _cells(mat, rows, kind, i, j, atoms, bot), row_cap)
+        parts.append(rows)
+    total = sum(part.shape[0] for part in parts)
+    if total > row_cap:
+        raise RowLimitError(total, row_cap)
+    return _lexsorted(np.vstack(parts))
 
 
 def validate_rows(logic: Logic, clo: Closure, rows: np.ndarray) -> np.ndarray:
     """Table-compatibility plus the stability rule, per row."""
     mat = nmatrix(logic)
-    n = rows.shape[0]
     ok = in_mask(logic.values_mask, rows).all(axis=1)
     for k, (kind, i, j) in enumerate(clo.structure()):
-        col = rows[:, k]
-        if kind == "atom":
-            continue
-        if kind == "bot":
-            cells = np.full(n, mat.bot_mask, dtype=np.uint8)
-        elif kind == "box":
-            cells = mat.box_masks[rows[:, i]]
-        else:
-            cells = mat.imp_masks[rows[:, i], rows[:, j]]
-        ok &= (cells >> col) & 1 == 1
+        cells = _cells(mat, rows, kind, i, j, logic.values_mask, mat.bot_mask)
+        ok &= (cells >> rows[:, k]) & 1 == 1
     stable = in_mask(values.STABLE_MASK, rows)
     ok &= ~stable.any(axis=1) | stable.all(axis=1)
     return ok
@@ -269,9 +245,6 @@ class TableModel:
 
     def relation_pairs(self) -> list[list[int]]:
         return np.argwhere(self.relation_matrix()).tolist()
-
-    def row_names(self, index: int) -> tuple[str, ...]:
-        return tuple(values.VALUE_NAMES[v] for v in self.rows[index])
 
     def stable_flags(self) -> np.ndarray:
         if self.rows.shape[0] == 0:

@@ -10,6 +10,7 @@ and reports the first world satisfying the assumptions but not the goal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,22 +264,14 @@ class OracleVerdict:
         return f"NO_COUNTERMODEL_UPTO({self.max_worlds})"
 
 
-_relation_cache: dict[tuple[int, frozenset], np.ndarray] = {}
-
-
+@functools.cache
 def _frame_relations(n: int, props: frozenset[str]) -> np.ndarray:
     """All (n, n) relations with the properties, ascending by bitmask."""
-    key = (n, props)
-    cached = _relation_cache.get(key)
-    if cached is not None:
-        return cached
     count = 1 << (n * n)
     masks = np.arange(count, dtype=np.int64)
     rels = ((masks[:, None] >> np.arange(n * n)) & 1).astype(bool)
     rels = rels.reshape(count, n, n)
-    out = rels[_holds(rels, props)]
-    _relation_cache[key] = out
-    return out
+    return rels[_holds(rels, props)]
 
 
 def _eval_batch(f: Formula, rels: np.ndarray, vals: dict[str, np.ndarray],

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from modalcube.cli import main
 
 
@@ -147,6 +149,22 @@ def test_xcheck_small_run_and_determinism():
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.strip().split("\n")[-1].startswith("agree=")
+
+
+@pytest.mark.parametrize("atoms", ["0", "12", "-1"])
+def test_xcheck_atom_count_out_of_range_exit_two(atoms):
+    code, out, err = run(["xcheck", "--logic", "K", "--count", "5", "--atoms", atoms])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--atoms" in err
+
+
+def test_xcheck_accepts_atoms_up_to_z():
+    code, out, _ = run(["xcheck", "--logic", "K", "--count", "5", "--max-depth", "1",
+                        "--atoms", "11", "--max-worlds", "2"])
+    assert code == 0
+    assert out.strip().split("\n")[-1].startswith("agree=")
 
 
 def test_decide_output_is_deterministic():

@@ -15,7 +15,7 @@ from modalcube.decision import (
 )
 from modalcube.formula import Atom, Box, Implies, closure, parse, print_formula
 from modalcube.logics import lookup
-from modalcube.values import names_in, value_id
+from modalcube.values import in_mask, names_in, value_id
 
 p, q = Atom("p"), Atom("q")
 
@@ -66,6 +66,28 @@ def test_rows_are_sorted_and_distinct(logic_name):
 def test_row_cap():
     with pytest.raises(RowLimitError):
         enumerate_rows(lookup("K"), closure([parse("[]p -> ([]q -> []r)")]), row_cap=50)
+
+
+@pytest.mark.parametrize("name", ["K", "KD", "KT", "KB5", "K45"])
+@pytest.mark.parametrize("text", ["p -> p", "[]p", "<>p", "p -> q", "bot"])
+def test_validate_rows_accepts_exactly_the_enumerated_rows(name, text):
+    logic, clo = lookup(name), closure([parse(text)])
+    m = len(clo)
+    assert m <= 5
+    product = np.indices((8,) * m).reshape(m, -1).T.astype(np.uint8)  # lex order
+    ok = validate_rows(logic, clo, product)
+    assert np.array_equal(product[ok], enumerate_rows(logic, clo))
+    assert not ok.all()
+
+
+def test_row_cap_boundary_counts_stable_rows():
+    logic, clo = lookup("K"), closure([parse("[]p -> q")])
+    rows = enumerate_rows(logic, clo)
+    assert in_mask(values.STABLE_MASK, rows[:, 0]).any()
+    assert np.array_equal(enumerate_rows(logic, clo, row_cap=len(rows)), rows)
+    with pytest.raises(RowLimitError) as e:
+        enumerate_rows(logic, clo, row_cap=len(rows) - 1)
+    assert e.value.estimate == len(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from modalcube.kripke import (
     forces, frame_closure, frame_props, kripke_to_json, kripke_to_json_dict,
     oracle_decide, to_dot, to_kripke,
 )
-from modalcube.logics import all_logics, lookup
+from modalcube.logics import LOGIC_NAMES, all_logics, lookup
 
 p, q = Atom("p"), Atom("q")
 
@@ -188,6 +188,16 @@ def test_to_kripke_large_kd4_model_is_a_kd4_frame():
     assert rel.any(axis=1).all()
     for i in range(rel.shape[0]):   # transitive, one row at a time
         assert (rel[rel[i]].any(axis=0) <= rel[i]).all()
+
+
+@pytest.mark.parametrize("name", [n for n in LOGIC_NAMES if n not in ("K5", "KD5")])
+def test_to_kripke_keeps_the_maximal_relation(name):
+    """Outside K5 and KD5 the maximal relation already has the logic's frame
+    properties, so extraction returns it unchanged."""
+    logic = lookup(name)
+    for text in ("[]p -> <>q", "<>p -> []<>p", "[](p -> q) -> ([]p -> []q)"):
+        model = filter_model(logic, closure([parse(text)]))
+        assert np.array_equal(to_kripke(model).relation, model.relation_matrix()), text
 
 
 def test_to_kripke_valuation_tracks_designation():
