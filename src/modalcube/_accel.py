@@ -74,6 +74,12 @@ def signatures(arow: np.ndarray, bits: np.ndarray) -> Signatures:
     return Signatures(np.ascontiguousarray(hits[:, :8]), compat, inverse.reshape(n))
 
 
+def supported(avail, preq, pnreq):
+    """Whether `avail` hits every nonzero `preq`/`pnreq` mask, over the last axis."""
+    return (((preq == 0) | ((avail & preq) != 0))
+            & ((pnreq == 0) | ((avail & pnreq) != 0))).all(axis=-1)
+
+
 def support_filter_round(sigs: Signatures, alive, preq, pnreq):
     """One deletion round: rows of `alive` whose obligations stay supported.
 
@@ -88,9 +94,7 @@ def support_filter_round(sigs: Signatures, alive, preq, pnreq):
     for s in _chunks(live.size, m * 8 * words * 8):
         hit = np.bitwise_or.reduce(reach[s, None, None, :] & sigs.planes, axis=3) != 0
         avail[live[s]] = np.packbits(hit, axis=2, bitorder="little")[:, :, 0]
-    have = avail[sigs.inverse]
-    ok = ((preq == 0) | ((have & preq) != 0)) & ((pnreq == 0) | ((have & pnreq) != 0))
-    return alive & ok.all(axis=1)
+    return alive & supported(avail[sigs.inverse], preq, pnreq)
 
 
 def compat_matrix(arow, bits):

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import values
 from ._accel import compat_matrix, signatures, support_filter_round
-from .formula import Atom, Box, Closure, Falsum, Formula, children, closure, print_formula
+from .formula import Atom, Closure, Formula, children, closure, print_formula
 from .logics import Logic
-from .nmatrix import Nmatrix, nmatrix
+from .nmatrix import Nmatrix, _check_admissible, nmatrix
 from .values import in_mask, mask_of
 
 ROW_CAP_DEFAULT = 2_000_000
@@ -77,8 +77,7 @@ def _allowed_masks(logic: Logic) -> np.ndarray:
 
 
 def allowed_successors(logic: Logic, v: int) -> int:
-    if not (logic.values_mask >> v & 1):
-        raise ValueError(f"value {values.VALUE_NAMES[v]} not admissible in {logic.name}")
+    _check_admissible(logic, v)
     return int(_allowed_masks(logic)[v])
 
 
@@ -103,8 +102,7 @@ def support_requirements(logic: Logic, v: int) -> list[int]:
     formula; one that claims refutability needs a successor that does not.
     Both sets are already intersected with the allowed-successor mask.
     """
-    if not (logic.values_mask >> v & 1):
-        raise ValueError(f"value {values.VALUE_NAMES[v]} not admissible in {logic.name}")
+    _check_admissible(logic, v)
     preq, pnreq = _requirement_masks(logic)
     out = []
     if values.member(v, "P"):
@@ -177,6 +175,7 @@ def validate_rows(logic: Logic, clo: Closure, rows: np.ndarray) -> np.ndarray:
     """Table-compatibility plus the stability rule, per row."""
     mat = nmatrix(logic)
     ok = in_mask(logic.values_mask, rows).all(axis=1)
+    rows = np.where(ok[:, None], rows, 0)  # rejected rows read no cell past code 7
     for k, (kind, i, j) in enumerate(clo.structure()):
         cells = _cells(mat, rows, kind, i, j, logic.values_mask, mat.bot_mask)
         ok &= (cells >> rows[:, k]) & 1 == 1
@@ -335,83 +334,29 @@ def level_filter(logic: Logic, clo: Closure, depth: int,
 # Column extension
 # ---------------------------------------------------------------------------
 
-_CELL_T3 = mask_of("T t ttt")
-_CELL_F3 = mask_of("F f fff")
-_CELL_TT = mask_of("T t")
-_CELL_FF = mask_of("F f")
-_CELL_T_TTT = mask_of("T ttt")
-
-
-def _succ_profile(rel: np.ndarray, flag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(has, all): per row, whether some / every successor satisfies flag."""
-    return (rel & flag).any(axis=1), ~(rel & ~flag).any(axis=1)
-
-
-def _box_extension(model: TableModel, col: np.ndarray, opts: np.ndarray) -> np.ndarray:
-    """One box value per row, chosen by the row's non-deterministic cell."""
-    out = _SINGLE_VALUE[opts].copy()
-    multi = _POPCOUNT[opts] > 1
-    if not multi.any():
-        return out
-    rel = model.relation_matrix()
-
-    pair = multi & ((opts == _CELL_TT) | (opts == _CELL_FF))
-    if pair.any():
-        # reflexive logics: a T at some successor and a non-T at another make
-        # the box value contingent (the row itself is one of its successors)
-        has_up, _ = _succ_profile(rel, col == values.T)
-        has_dn, _ = _succ_profile(rel, col != values.T)
-        mixed = has_up & has_dn
-        choice = np.where(opts == _CELL_TT,
-                          np.where(mixed, values.t, values.T),
-                          np.where(mixed, values.f, values.F))
-        out[pair] = choice[pair]
-    triple = multi & ((opts == _CELL_T3) | (opts == _CELL_F3))
-    if triple.any():
-        has_n, all_n = _succ_profile(rel, in_mask(values.N_MASK, col))
-        up = np.where(opts == _CELL_T3, values.T, values.fff)
-        dn = np.where(opts == _CELL_T3, values.ttt, values.F)
-        mid = np.where(opts == _CELL_T3, values.t, values.f)
-        choice = np.where(all_n, up, np.where(~has_n, dn, mid))
-        out[triple] = choice[triple]
-    euclid = multi & (opts == _CELL_T_TTT)
-    if euclid.any():
-        has_non_n, _ = _succ_profile(rel, ~in_mask(values.N_MASK, col))
-        out[euclid] = np.where(has_non_n, values.ttt, values.T)[euclid]
-    if (multi & ~(pair | triple | euclid)).any():
-        raise AssertionError("unexpected non-deterministic box cell")
-    return out
-
-
-def _imp_extension(model: TableModel, left: np.ndarray, right: np.ndarray,
-                   opts: np.ndarray) -> np.ndarray:
-    out = _SINGLE_VALUE[opts].copy()
-    multi = _POPCOUNT[opts] > 1
-    if not multi.any():
-        return out
-    rel = model.relation_matrix()
-    falsifies = in_mask(values.D_MASK, left) & ~in_mask(values.D_MASK, right)
-    has_fals, _ = _succ_profile(rel, falsifies)
-    choice = np.where(opts == _CELL_TT,
-                      np.where(has_fals, values.t, values.T),
-                      np.where(has_fals, values.f, values.fff)).astype(np.uint8)
-    out[multi] = choice[multi]
-    return out
-
-
 def extend_column(model: TableModel, f: Formula) -> TableModel:
     """Extend every row with exactly one admissible value for `f`.
 
-    The choice is uniform over each row's successors so that row count is
-    preserved and re-filtering the result deletes nothing.  Extending the
-    empty model is only defined for atoms and yields the one-column model
-    over all admissible values.
+    An atom copies the first column.  Box, implication and falsum read each
+    row's cell of `f` through the Nmatrix cell rule, and a single-value cell
+    is taken as it is.  The values of a multi-value cell agree on
+    designation, so each successor's own cell says whether it designates
+    `f`.  The row then takes the cell value that is in N iff every successor
+    designates `f` and, where the cell has such a value, in I iff no
+    successor does.
+
+    The rule expects a filtered model.  There every non-stable value carries
+    a P or PN obligation, so every non-stable row has a successor: falsum,
+    designated by no successor, gets F on those rows and ff on stable rows,
+    which have no successors.  The choice preserves the row count, and
+    re-filtering the result deletes nothing.  Extending the empty model is
+    only defined for atoms and yields the one-column model over all
+    admissible values.
     """
     logic = model.logic
-    clo = model.closure
     rows = model.rows
     for sub in children(f):
-        if sub not in clo:
+        if sub not in model.closure:
             raise MissingSubformulaError(
                 f"cannot extend with {print_formula(f)}: {print_formula(sub)} missing")
 
@@ -419,22 +364,26 @@ def extend_column(model: TableModel, f: Formula) -> TableModel:
         vals = np.array(values.values_in(logic.values_mask), dtype=np.uint8)
         return TableModel(logic, Closure((f,)), vals.reshape(-1, 1))
 
-    mat = nmatrix(logic)
-    if isinstance(f, Atom):
+    clo = model.closure.extended(f)
+    kind, i, j = clo.structure()[-1]
+    if kind == "atom":
         newcol = rows[:, 0].copy()
-    elif isinstance(f, Falsum):
-        stable = model.stable_flags()
-        newcol = np.where(stable, values.ff, values.F).astype(np.uint8)
-    elif isinstance(f, Box):
-        col = rows[:, clo.position(f.operand)]
-        newcol = _box_extension(model, col, mat.box_masks[col])
     else:
-        left = rows[:, clo.position(f.left)]
-        right = rows[:, clo.position(f.right)]
-        newcol = _imp_extension(model, left, right, mat.imp_masks[left, right])
+        mat = nmatrix(logic)
+        cells = _cells(mat, rows, kind, i, j, 0, mat.bot_mask)
+        multi = _POPCOUNT[cells] > 1
+        if multi.any():
+            rel = model.relation_matrix()
+            designates = cells & values.D_MASK != 0
+            every = ~(rel & ~designates).any(axis=1)
+            some = (rel & designates).any(axis=1)
+            fits = cells & np.where(every, values.N_MASK, ~values.N_MASK & values.ALL_MASK)
+            exact = fits & np.where(some, ~values.I_MASK & values.ALL_MASK, values.I_MASK)
+            cells = np.where(multi, np.where(exact != 0, exact, fits), cells)
+        newcol = _SINGLE_VALUE[cells]
 
     new_rows = np.hstack([rows, newcol.reshape(-1, 1)])
-    return TableModel(logic, clo.extended(f), new_rows, model.iterations)
+    return TableModel(logic, clo, new_rows, model.iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import values
+from ._accel import supported
 from .decision import TableModel, _json_with_relation, _requirement_masks
 from .formula import Atom, Falsum, Formula, Implies, atom_names
 from .logics import Logic
@@ -162,10 +163,6 @@ def _euclidean_support_relation(logic: Logic, model: TableModel,
     preq_rows, pnreq_rows = preq[rows], pnreq[rows]
     bits = np.uint8(1) << rows
 
-    def covered(avail: np.ndarray, v: int) -> bool:
-        p, q = preq_rows[v], pnreq_rows[v]
-        return (((p == 0) | (avail & p != 0)) & ((q == 0) | (avail & q != 0))).all()
-
     classes: dict[tuple, list[int]] = {}
     for v in np.flatnonzero(maximal.diagonal()):
         sig = tuple("T" if x == values.T else "F" if x == values.F else "c"
@@ -176,7 +173,7 @@ def _euclidean_support_relation(logic: Logic, model: TableModel,
     for _, members in sorted(classes.items(), key=lambda kv: min(kv[1])):
         mem = np.array(members)
         avail = np.bitwise_or.reduce(bits[mem], axis=0)
-        if all(covered(avail, v) for v in members):
+        if supported(avail, preq_rows[mem], pnreq_rows[mem]).all():
             kept.append(mem)
 
     in_kept = np.zeros(n, dtype=bool)
@@ -191,7 +188,8 @@ def _euclidean_support_relation(logic: Logic, model: TableModel,
             continue  # stable rows: no obligations, no successors
         for mem in kept:
             sub = mem[maximal[v, mem]]
-            if sub.size and covered(np.bitwise_or.reduce(bits[sub], axis=0), v):
+            if sub.size and supported(np.bitwise_or.reduce(bits[sub], axis=0),
+                                      preq_rows[v], pnreq_rows[v]):
                 rel[v, sub] = True
                 break
         else:

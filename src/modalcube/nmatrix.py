@@ -26,9 +26,16 @@ __all__ = [
 
 class ValueNotInLogicError(ValueError):
     def __init__(self, v: int, logic: Logic):
+        name = values.VALUE_NAMES[v] if 0 <= v < 8 else f"code {v} (codes are 0-7)"
         super().__init__(
-            f"value {values.VALUE_NAMES[v]} is not admissible in {logic.name} "
+            f"value {name} is not admissible in {logic.name} "
             f"(admissible: {' '.join(values.names_in(logic.values_mask))})")
+
+
+def _check_admissible(logic: Logic, v: int) -> None:
+    """Raise ValueNotInLogicError unless v codes a value the logic admits."""
+    if not (0 <= v < 8 and logic.values_mask >> v & 1):
+        raise ValueNotInLogicError(v, logic)
 
 
 # Implication: rows are the antecedent value, columns the consequent value.
@@ -92,10 +99,6 @@ class Nmatrix:
     imp_masks: np.ndarray   # (8, 8) uint8, already intersected with V(L)
     box_masks: np.ndarray   # (8,) uint8, zero for values outside V(L)
 
-    def _check(self, v: int) -> None:
-        if not (0 <= v < 8) or not (self.logic.values_mask >> v & 1):
-            raise ValueNotInLogicError(v, self.logic)
-
     def imp(self, a: int, b: int) -> int:
         """Admissible values of an implication, as a mask.
 
@@ -104,19 +107,20 @@ class Nmatrix:
         intersect to the empty mask; such argument pairs never occur inside a
         valuation (stable values only ever appear alongside stable values).
         """
-        self._check(a)
-        self._check(b)
+        _check_admissible(self.logic, a)
+        _check_admissible(self.logic, b)
         return int(self.imp_masks[a, b])
 
     def box(self, a: int) -> int:
-        self._check(a)
+        _check_admissible(self.logic, a)
         return int(self.box_masks[a])
 
     def neg(self, a: int, bot_val: int = values.F) -> int:
         """Negation is the implication into a falsum value."""
+        out = self.imp(a, bot_val)
         if not (self.bot_mask >> bot_val & 1):
             raise ValueNotInLogicError(bot_val, self.logic)
-        return self.imp(a, bot_val)
+        return out
 
     def dia(self, a: int, bot_val: int | None = None) -> int:
         """Diamond by composition: union of neg(box(neg(a))) over all choices.
@@ -124,6 +128,7 @@ class Nmatrix:
         The falsum value defaults to ff on the stable fragment and F
         elsewhere, matching how the two kinds of rows evaluate bot.
         """
+        _check_admissible(self.logic, a)
         if bot_val is None:
             stable = bool(values.STABLE_MASK >> a & 1)
             bot_val = values.ff if stable and (self.bot_mask >> values.ff & 1) else values.F

@@ -13,8 +13,9 @@ from modalcube.decision import (
     TableModel, filter_rows, level_filter, model_to_csv, model_to_json,
     model_to_json_dict, support_requirements, validate_rows,
 )
-from modalcube.formula import Atom, Box, Implies, closure, parse, print_formula
+from modalcube.formula import Atom, Box, Falsum, Implies, closure, parse, print_formula
 from modalcube.logics import lookup
+from modalcube.nmatrix import ValueNotInLogicError, nmatrix
 from modalcube.values import in_mask, names_in, value_id
 
 p, q = Atom("p"), Atom("q")
@@ -80,6 +81,16 @@ def test_validate_rows_accepts_exactly_the_enumerated_rows(name, text):
     assert not ok.all()
 
 
+@pytest.mark.parametrize("text,row", [
+    ("[]p", [9, 0]), ("[]p", [200, 7]), ("p -> q", [7, 9, 0]),
+])
+def test_validate_rows_rejects_codes_past_the_tables(text, row):
+    """A code of 8 or more where a box or implication reads it is an invalid
+    row, not an index past the 8-value tables."""
+    rows = np.array([row], dtype=np.uint8)
+    assert not validate_rows(lookup("K"), closure([parse(text)]), rows).any()
+
+
 def test_row_cap_boundary_counts_stable_rows():
     logic, clo = lookup("K"), closure([parse("[]p -> q")])
     rows = enumerate_rows(logic, clo)
@@ -128,6 +139,20 @@ def test_support_requirements_match_reference(logic_name):
         got = [set(names_in(r)) for r in support_requirements(logic, value_id(name))]
         want = [set(r) for r in ref.requirements(logic_name, name)]
         assert got == want, name
+
+
+@pytest.mark.parametrize("v,named", [(-1, "code -1"), (8, "code 8"), (values.ff, "ff")])
+def test_inadmissible_value_raises_one_error(v, named):
+    """Every entry point taking a value code rejects the same codes with the
+    same error, naming an out-of-range code by number."""
+    kd = lookup("KD")
+    mat = nmatrix(kd)
+    calls = [lambda: allowed_successors(kd, v), lambda: support_requirements(kd, v),
+             lambda: mat.box(v), lambda: mat.imp(v, values.T), lambda: mat.imp(values.T, v),
+             lambda: mat.neg(v), lambda: mat.dia(v)]
+    for call in calls:
+        with pytest.raises(ValueNotInLogicError, match=f"^value {named} .*not admissible in KD"):
+            call()
 
 
 def test_build_relation_examples():
@@ -432,6 +457,48 @@ def test_extend_preserves_rows_and_revalidates(logic_name):
     assert validate_rows(logic, ext.closure, ext.rows).all()
     kept, _ = filter_rows(logic, ext.rows)
     assert kept.shape[0] == ext.row_count
+
+
+def _plain_cell(mat, clo, row, g):
+    """The Nmatrix cell of g at one row, read value by value."""
+    if isinstance(g, Box):
+        return mat.box(int(row[clo.position(g.operand)]))
+    if isinstance(g, Implies):
+        return mat.imp(int(row[clo.position(g.left)]), int(row[clo.position(g.right)]))
+    return mat.bot_mask
+
+
+def test_extend_column_follows_the_successor_profile(logic_name):
+    """On every multi-value cell the chosen value is in N iff every successor
+    designates the new formula, and in I iff none does, except where the cell
+    has no such value: the euclidean-only fallback."""
+    logic = lookup(logic_name)
+    mat = nmatrix(logic)
+    fallback = 0
+    for text in ("p", "[]p -> q", "p -> []p"):
+        model = filter_model(logic, closure([parse(text)]))
+        clo, n = model.closure, model.row_count
+        rel = model.relation_matrix()
+        for g in (Box(clo.formulas[-1]), Implies(clo.formulas[-1], clo.formulas[0]), Falsum()):
+            chosen = extend_column(model, g).rows[:, -1]
+            cells = [_plain_cell(mat, clo, row, g) for row in model.rows]
+            designates = [cell & values.D_MASK != 0 for cell in cells]
+            for v in range(n):
+                assert cells[v] >> chosen[v] & 1, (text, str(g), v)
+                if bin(cells[v]).count("1") == 1:
+                    continue
+                assert cells[v] & values.D_MASK in (0, cells[v])
+                succ = [w for w in range(n) if rel[v, w]]
+                every = all(designates[w] for w in succ)
+                none = not any(designates[w] for w in succ)
+                assert values.member(int(chosen[v]), "N") == every, (text, str(g), v)
+                if values.member(int(chosen[v]), "I") != none:
+                    assert not any(values.member(x, "N") == every and values.member(x, "I") == none
+                                   for x in values.values_in(cells[v])), (text, str(g), v)
+                    fallback += 1
+    if fallback:
+        assert "5" in logic.frame_props and "4" not in logic.frame_props
+    assert logic_name not in ("K5", "KD5") or fallback
 
 
 # Maximal edges lost when the closure of f is extended by []f, in the
