@@ -214,57 +214,49 @@ def _build_parser() -> argparse.ArgumentParser:
                     "non-deterministic truth tables.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_format):
+    def command(name, handler, help, formats=(), row_cap=True):
+        """A subcommand with --logic, and --row-cap and --format (default
+        the first of `formats`) when it reads them."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--logic", default="K", help="logic name or alias (K, S4, S5...)")
-        p.add_argument("--row-cap", type=int, default=decision.ROW_CAP_DEFAULT)
-        p.add_argument("--format", default=default_format,
-                       choices=["text", "json", "csv", "dot"])
+        if row_cap:
+            p.add_argument("--row-cap", type=int, default=decision.ROW_CAP_DEFAULT)
+        if formats:
+            p.add_argument("--format", default=formats[0], choices=formats)
+        return p
 
-    p = sub.add_parser("decide", help="decide a consequence")
-    common(p, "text")
+    p = command("decide", _cmd_decide, "decide a consequence", ("text", "json"))
     p.add_argument("--assume", action="append", default=[], metavar="FORMULA")
     p.add_argument("goal")
 
-    p = sub.add_parser("table", help="dump a filtered truth table, or the "
-                                     "logic's connective tables when no "
-                                     "formula is given")
-    common(p, "csv")
+    p = command("table", _cmd_table, "dump a filtered truth table, or the logic's "
+                "connective tables when no formula is given", ("csv", "json"))
     p.add_argument("--level", type=int, default=None,
                    help="dump staged level filtering instead of the support filter")
     p.add_argument("formulas", nargs="*")
 
-    p = sub.add_parser("model", help="extract a relational model")
-    common(p, "json")
+    p = command("model", _cmd_model, "extract a relational model", ("json", "dot"))
     p.add_argument("formula")
 
-    p = sub.add_parser("oracle", help="bounded relational countermodel search")
-    common(p, "text")
+    p = command("oracle", _cmd_oracle, "bounded relational countermodel search",
+                ("text", "json", "dot"), row_cap=False)
     p.add_argument("--assume", action="append", default=[], metavar="FORMULA")
     p.add_argument("--max-worlds", type=int, default=3)
     p.add_argument("goal")
 
-    p = sub.add_parser("xcheck", help="differential test: decide vs oracle")
-    common(p, "text")
+    p = command("xcheck", _cmd_xcheck, "differential test: decide vs oracle")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--max-depth", type=int, default=2)
     p.add_argument("--atoms", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-worlds", type=int, default=3)
 
-    p = sub.add_parser("axioms", help="list the logic's axiom schemata")
-    common(p, "text")
+    command("axioms", _cmd_axioms, "list the logic's axiom schemata",
+            ("text", "json"), row_cap=False)
 
     return parser
 
-
-_COMMANDS = {
-    "decide": _cmd_decide,
-    "table": _cmd_table,
-    "model": _cmd_model,
-    "oracle": _cmd_oracle,
-    "xcheck": _cmd_xcheck,
-    "axioms": _cmd_axioms,
-}
 
 _KNOWN_ERRORS = (decision.RowLimitError, kripke.ClosureImpossibleError,
                  kripke.OracleBudgetError, ValueError)
@@ -278,11 +270,8 @@ def main(argv=None, out=None, err=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    if ns.format == "dot" and ns.command not in ("model", "oracle"):
-        print("error: dot output is only available for model/oracle", file=err)
-        return 2
     try:
-        return _COMMANDS[ns.command](ns, out)
+        return ns.handler(ns, out)
     except _KNOWN_ERRORS as e:
         print(f"error: {e}", file=err)
         return 2

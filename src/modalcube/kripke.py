@@ -219,19 +219,27 @@ def to_kripke(model: TableModel) -> KripkeModel:
 # Forcing
 # ---------------------------------------------------------------------------
 
-def _eval_worlds(k: KripkeModel, f: Formula, cache: dict) -> np.ndarray:
+def _truth(f: Formula, rel: np.ndarray, vals: dict[str, np.ndarray],
+           false: np.ndarray, cache: dict) -> np.ndarray:
+    """Truth of f at every world, worlds before valuations: (n,) for one
+    relation and valuation, (..., n, V) for a batch of relations (..., n, n)
+    and of valuations (n, V).
+
+    Atoms and falsum keep the valuation shape `false` has (an atom with no
+    valuation is false everywhere); a box broadcasts them against `rel`.
+    """
     if f in cache:
         return cache[f]
     if isinstance(f, Atom):
-        out = k.valuation.get(f.name, np.zeros(k.world_count, dtype=bool))
+        out = vals.get(f.name, false)
     elif isinstance(f, Falsum):
-        out = np.zeros(k.world_count, dtype=bool)
+        out = false
     elif isinstance(f, Implies):
-        out = ~_eval_worlds(k, f.left, cache) | _eval_worlds(k, f.right, cache)
+        out = ~_truth(f.left, rel, vals, false, cache) | _truth(f.right, rel, vals, false, cache)
     else:
-        sub = _eval_worlds(k, f.operand, cache)
+        sub = _truth(f.operand, rel, vals, false, cache)
         # true at w iff no successor falsifies the operand
-        out = ~_compose(k.relation, ~sub)
+        out = ~_compose(rel, ~sub)
     cache[f] = out
     return out
 
@@ -239,7 +247,8 @@ def _eval_worlds(k: KripkeModel, f: Formula, cache: dict) -> np.ndarray:
 def forces(k: KripkeModel, world: int, f: Formula) -> bool:
     if not (0 <= world < k.world_count):
         raise IndexError(f"world {world} out of range")
-    return bool(_eval_worlds(k, f, {})[world])
+    false = np.zeros(k.world_count, dtype=bool)
+    return bool(_truth(f, k.relation, k.valuation, false, {})[world])
 
 
 # ---------------------------------------------------------------------------
@@ -272,26 +281,6 @@ def _frame_relations(n: int, props: frozenset[str]) -> np.ndarray:
     return rels[_holds(rels, props)]
 
 
-def _eval_batch(f: Formula, rels: np.ndarray, vals: dict[str, np.ndarray],
-                cache: dict) -> np.ndarray:
-    """Value of f at every (relation, valuation, world), shape (C, V, n)."""
-    if f in cache:
-        return cache[f]
-    c, n = rels.shape[0], rels.shape[1]
-    if isinstance(f, Atom):
-        arr = vals[f.name]
-        out = np.broadcast_to(arr[None, :, :], (c, arr.shape[0], n))
-    elif isinstance(f, Falsum):
-        out = np.zeros((c, next(iter(vals.values())).shape[0] if vals else 1, n), dtype=bool)
-    elif isinstance(f, Implies):
-        out = ~_eval_batch(f.left, rels, vals, cache) | _eval_batch(f.right, rels, vals, cache)
-    else:
-        sub = _eval_batch(f.operand, rels, vals, cache)
-        out = ~_compose(~sub, rels.transpose(0, 2, 1))
-    cache[f] = out
-    return out
-
-
 def oracle_decide(logic: Logic, assumptions, goal: Formula,
                   max_worlds: int = 3) -> OracleVerdict:
     """Exhaustive search for a world refuting the consequence, by model size.
@@ -314,28 +303,26 @@ def oracle_decide(logic: Logic, assumptions, goal: Formula,
         nval = 1 << (len(atoms) * n)
         vmasks = np.arange(nval, dtype=np.int64)
         vals = {
-            name: ((vmasks[:, None] >> (k * n + np.arange(n))) & 1).astype(bool)
+            name: ((vmasks >> (k * n + np.arange(n))[:, None]) & 1).astype(bool)
             for k, name in enumerate(atoms)
         }
-        if not atoms:
-            vals = {}
+        false = np.zeros((n, nval), dtype=bool)
 
         rels = _frame_relations(n, props)
         chunk = max(1, (1 << 24) // max(1, nval * n))
         for c0 in range(0, rels.shape[0], chunk):
             sub = rels[c0:c0 + chunk]
             cache: dict = {}
-            target = np.ones((sub.shape[0], nval, n), dtype=bool)
+            hit = ~_truth(goal, sub, vals, false, cache)
             for a in assumptions:
-                target &= _eval_batch(a, sub, vals, cache)
-            target &= ~_eval_batch(goal, sub, vals, cache)
-            if target.any():
-                flat = int(np.argmax(target.reshape(-1)))
-                ci, rest = divmod(flat, nval * n)
-                vi, wi = divmod(rest, n)
-                valuation = {name: vals[name][vi].copy() for name in atoms}
+                hit = hit & _truth(a, sub, vals, false, cache)
+            # search order (relation, valuation, world)
+            hit = np.broadcast_to(hit, (sub.shape[0], n, nval)).transpose(0, 2, 1)
+            if hit.any():
+                ci, vi, wi = np.unravel_index(np.argmax(hit), hit.shape)
+                valuation = {name: vals[name][:, vi].copy() for name in atoms}
                 model = KripkeModel(sub[ci].copy(), valuation)
-                return OracleVerdict(model, wi, max_worlds)
+                return OracleVerdict(model, int(wi), max_worlds)
     return OracleVerdict(None, None, max_worlds)
 
 

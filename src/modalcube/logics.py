@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from . import values
 from .formula import Formula, parse
 
-FAMILIES = ("K*", "KD*", "KT*", "KB45")
-
 # Admissible values per family.  Seriality removes the stable values tt/ff;
 # reflexivity additionally removes fff/ttt; the KB45 family keeps the stable
 # values but drops fff/ttt.

@@ -25,11 +25,12 @@ __all__ = [
 
 
 class ValueNotInLogicError(ValueError):
-    def __init__(self, v: int, logic: Logic):
+    def __init__(self, v: int, logic: Logic, falsum: bool = False):
         name = values.VALUE_NAMES[v] if 0 <= v < 8 else f"code {v} (codes are 0-7)"
-        super().__init__(
-            f"value {name} is not admissible in {logic.name} "
-            f"(admissible: {' '.join(values.names_in(logic.values_mask))})")
+        what, label, mask = (("a falsum value", "falsum values", _BOT_MASK & logic.values_mask)
+                             if falsum else ("admissible", "admissible", logic.values_mask))
+        super().__init__(f"value {name} is not {what} in {logic.name} "
+                         f"({label}: {' '.join(values.names_in(mask))})")
 
 
 def _check_admissible(logic: Logic, v: int) -> None:
@@ -119,7 +120,7 @@ class Nmatrix:
         """Negation is the implication into a falsum value."""
         out = self.imp(a, bot_val)
         if not (self.bot_mask >> bot_val & 1):
-            raise ValueNotInLogicError(bot_val, self.logic)
+            raise ValueNotInLogicError(bot_val, self.logic, falsum=True)
         return out
 
     def dia(self, a: int, bot_val: int | None = None) -> int:

@@ -5,13 +5,17 @@ value at a time with each cell checked as the value is added, no masks, no
 vectorization.  It reads its truth tables from the JSON transcription in
 tests/data and derives the successor constraints from the per-axiom
 relational conditions with its own code instead of calling the library's,
-so a slip on either side shows up as a mismatch.
+so a slip on either side shows up as a mismatch.  Forcing, likewise, is
+checked world by world with plain loops instead of the library's relation
+products.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+import numpy as np
 
 from modalcube.formula import Box, Falsum, Implies
 
@@ -157,3 +161,30 @@ def decide(name: str, formulas, assumptions, goal) -> bool:
         if all(row[i] in D for i in ai) and row[gi] not in D:
             return False
     return True
+
+
+def forced(rel, valuation: dict, f, memo: dict | None = None) -> list[bool]:
+    """Whether each world forces f, by the clauses of relational semantics
+    applied one world at a time.  An atom with no valuation is false
+    everywhere.  `memo` (formula -> truth per world) may be shared between
+    calls on the same model."""
+    rows = np.asarray(rel, dtype=bool).tolist()
+    memo = {} if memo is None else memo
+
+    def truth(g) -> list[bool]:
+        if g not in memo:
+            if isinstance(g, Falsum):
+                out = [False] * len(rows)
+            elif isinstance(g, Implies):
+                left, right = truth(g.left), truth(g.right)
+                out = [not left[w] or right[w] for w in range(len(rows))]
+            elif isinstance(g, Box):
+                sub = truth(g.operand)
+                out = [all(sub[v] for v, edge in enumerate(row) if edge) for row in rows]
+            else:
+                out = [bool(valuation[g.name][w]) if g.name in valuation else False
+                       for w in range(len(rows))]
+            memo[g] = out
+        return memo[g]
+
+    return truth(f)

@@ -71,6 +71,8 @@ def test_c2_separation_matrix():
                 assert oracle.found, (logic.name, label)
                 assert oracle.countermodel.world_count <= 3
                 assert not forces(oracle.countermodel, oracle.world, inst)
+                cm = oracle.countermodel
+                assert not ref.forced(cm.relation, cm.valuation, inst)[oracle.world]
                 checked += 1
         # the documented sample of the matrix
         t_lacking = {l.name for l in all_logics() if "T" not in l.frame_props}

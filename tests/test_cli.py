@@ -118,6 +118,29 @@ def test_dot_rejected_for_decide():
     assert code == 2
 
 
+_FORMATS = {"decide": ("text", "json"), "table": ("csv", "json"),
+            "model": ("json", "dot"), "oracle": ("text", "json", "dot"),
+            "xcheck": (), "axioms": ("text", "json")}
+_OPERANDS = {"decide": ["p"], "table": ["p"], "model": ["p"], "oracle": ["p"],
+             "xcheck": ["--count", "1"], "axioms": []}
+
+
+@pytest.mark.parametrize("command, fmt", [
+    (command, fmt) for command, accepted in _FORMATS.items()
+    for fmt in ("text", "json", "csv", "dot") if fmt not in accepted])
+def test_refused_format_exits_two_with_empty_stdout(command, fmt, capsys):
+    code, out, _ = run([command, "--format", fmt, *_OPERANDS[command]])
+    assert code == 2
+    assert out == "" and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["oracle", "axioms"])
+def test_row_cap_refused_where_unread(command, capsys):
+    code, out, _ = run([command, "--row-cap", "10", *_OPERANDS[command]])
+    assert code == 2
+    assert out == "" and capsys.readouterr().out == ""
+
+
 def test_oracle_countermodel_exit_one():
     code, out, _ = run(["oracle", "--logic", "K", "--max-worlds", "2", "[]p -> p"])
     assert code == 1

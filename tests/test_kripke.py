@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import reference as ref
 from modalcube import kripke, values
 from modalcube.decision import filter_model
 from modalcube.formula import Atom, closure, parse
@@ -150,6 +151,40 @@ def test_forces_unknown_atom_is_false():
     assert not forces(model, 0, p)
     with pytest.raises(IndexError):
         forces(model, 3, p)
+
+
+FORCING_FORMULAS = [parse(text) for text in (
+    "[]p -> p", "<>p -> []<>p", "[](p -> q) -> ([]p -> []q)", "p -> []<>p",
+    "[]bot", "<>(q -> bot)", "bot -> p", "<>r -> []q", "r -> p", "[][]p -> []q")]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_forces_matches_per_world_loop(n):
+    """forces agrees with the test's own world-by-world loop on every
+    relation over n worlds, under two valuations of p and q each (r has no
+    valuation)."""
+    rng = np.random.default_rng(n)
+    for mask in range(1 << (n * n)):
+        rel = np.array([[mask >> (i * n + j) & 1 for j in range(n)] for i in range(n)], dtype=bool)
+        for _ in range(2):
+            model = KripkeModel(rel, {"p": rng.random(n) < 0.5, "q": rng.random(n) < 0.5})
+            memo: dict = {}
+            for f in FORCING_FORMULAS:
+                want = ref.forced(rel, model.valuation, f, memo)
+                assert [forces(model, w, f) for w in range(n)] == want, (mask, f)
+
+
+def test_truth_lemma_on_extracted_models(logic_name):
+    """Every world of an extracted model forces exactly the closure members
+    its row designates, checked with the test's world-by-world loop."""
+    logic = lookup(logic_name)
+    for text in ("[]p -> <>q", "<>p -> []<>p", "[](p -> q) -> ([]p -> []q)"):
+        model = filter_model(logic, closure([parse(text)]))
+        k = to_kripke(model)
+        memo: dict = {}
+        for pos, f in enumerate(model.closure.formulas):
+            designated = values.in_mask(logic.designated_mask, model.rows[:, pos])
+            assert ref.forced(k.relation, k.valuation, f, memo) == designated.tolist(), (text, f)
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,12 @@ def test_neg_examples():
 
 
 def test_neg_requires_a_falsum_value():
-    with pytest.raises(ValueNotInLogicError):
+    with pytest.raises(ValueNotInLogicError,
+                       match=r"^value t is not a falsum value in K \(falsum values: F ff\)$"):
         nmatrix("K").neg(values.T, values.t)
+    with pytest.raises(ValueNotInLogicError,
+                       match=r"^value ff is not admissible in KD \(admissible: "):
+        nmatrix("KD").neg(values.T, values.ff)
 
 
 def test_value_not_in_logic():
