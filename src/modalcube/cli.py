@@ -275,6 +275,10 @@ def main(argv=None, out=None, err=None) -> int:
     except _KNOWN_ERRORS as e:
         print(f"error: {e}", file=err)
         return 2
+    except RecursionError:
+        # the parser, closure and evaluators recurse once per nesting level
+        print("error: formula nested too deeply", file=err)
+        return 2
 
 
 def entry() -> None:

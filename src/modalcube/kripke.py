@@ -85,7 +85,16 @@ def _holds(rel: np.ndarray, props) -> np.ndarray:
     return ok
 
 
+def _check_names(props) -> None:
+    """Raise ValueError unless every name in `props` is a frame property."""
+    unknown = sorted(set(props) - set(_PROP_OF_AXIOM.values()))
+    if unknown:
+        raise ValueError(f"unknown frame property {', '.join(map(repr, unknown))}; "
+                         f"known: {', '.join(_PROP_OF_AXIOM.values())}")
+
+
 def check_frame(rel: np.ndarray, props) -> bool:
+    _check_names(props)
     return bool(_holds(rel, props))
 
 
@@ -101,6 +110,7 @@ def frame_closure(rel: np.ndarray, props, candidates: np.ndarray) -> np.ndarray:
     any dead-end world.  Raises ClosureImpossibleError when a required edge
     is not admissible.
     """
+    _check_names(props)
     props = set(props)
     rel = rel.astype(bool).copy()
 

@@ -7,15 +7,15 @@ from dataclasses import dataclass
 from . import values
 from .formula import Formula, parse
 
-# Admissible values per family.  Seriality removes the stable values tt/ff;
-# reflexivity additionally removes fff/ttt; the KB45 family keeps the stable
-# values but drops fff/ttt.
-FAMILY_VALUES = {
-    "K*": values.mask_of("F f ff fff ttt tt t T"),
-    "KD*": values.mask_of("F f fff ttt t T"),
-    "KT*": values.mask_of("F f t T"),
-    "KB45": values.mask_of("F f ff tt t T"),
-}
+# Admissible values, one condition per axiom: D (no dead ends) drops the
+# stable tt/ff, which only dead ends take; T drops fff (false but necessary)
+# and ttt (true but impossible), which no world seeing itself can take; so do
+# B and 5 together, since there every world with a successor sees itself.
+_VALUE_CONDITIONS = (
+    ({"D"}, values.STABLE_MASK),
+    ({"T"}, values.mask_of("fff ttt")),
+    ({"B", "5"}, values.mask_of("fff ttt")),
+)
 
 
 class LogicError(ValueError):
@@ -25,48 +25,49 @@ class LogicError(ValueError):
 @dataclass(frozen=True)
 class Logic:
     name: str
-    family: str
-    frame_props: frozenset[str]     # closed under derivability, subset of D T B 4 5
     axiom_labels: tuple[str, ...]   # always starts with "k"
-
-    @property
-    def values_mask(self) -> int:
-        return FAMILY_VALUES[self.family]
-
-    @property
-    def designated_mask(self) -> int:
-        return self.values_mask & values.D_MASK
-
-    @property
-    def nondesignated_mask(self) -> int:
-        return self.values_mask & values.DC_MASK
+    frame_props: frozenset[str]     # closed under derivability, subset of D T B 4 5
+    values_mask: int
+    designated_mask: int
+    nondesignated_mask: int
 
     def __str__(self) -> str:
         return self.name
 
 
-def _logic(name, family, props, axioms):
-    return Logic(name, family, frozenset(props.split()), tuple(axioms.split()))
+def _logic(name: str, axioms: str) -> Logic:
+    """A logic from its axiom labels alone: each label but k names a frame
+    property, T also gives D, and each value condition that holds applies."""
+    labels = tuple(axioms.split())
+    props = {label.upper() for label in labels if label != "k"}
+    if "T" in props:
+        props.add("D")
+    mask = values.ALL_MASK
+    for needed, excluded in _VALUE_CONDITIONS:
+        if needed <= props:
+            mask &= ~excluded
+    return Logic(name, labels, frozenset(props), mask,
+                 mask & values.D_MASK, mask & values.DC_MASK)
 
 
 _REGISTRY = {
     logic.name: logic
     for logic in [
-        _logic("K", "K*", "", "k"),
-        _logic("KB", "K*", "B", "k b"),
-        _logic("K4", "K*", "4", "k 4"),
-        _logic("K5", "K*", "5", "k 5"),
-        _logic("K45", "K*", "4 5", "k 4 5"),
-        _logic("KB5", "KB45", "B 4 5", "k b 4 5"),
-        _logic("KD", "KD*", "D", "k d"),
-        _logic("KDB", "KD*", "D B", "k d b"),
-        _logic("KD4", "KD*", "D 4", "k d 4"),
-        _logic("KD5", "KD*", "D 5", "k d 5"),
-        _logic("KD45", "KD*", "D 4 5", "k d 4 5"),
-        _logic("KT", "KT*", "T D", "k t"),
-        _logic("KTB", "KT*", "T D B", "k t b"),
-        _logic("KT4", "KT*", "T D 4", "k t 4"),
-        _logic("KT45", "KT*", "T D B 4 5", "k t b 4 5"),
+        _logic("K", "k"),
+        _logic("KB", "k b"),
+        _logic("K4", "k 4"),
+        _logic("K5", "k 5"),
+        _logic("K45", "k 4 5"),
+        _logic("KB5", "k b 4 5"),
+        _logic("KD", "k d"),
+        _logic("KDB", "k d b"),
+        _logic("KD4", "k d 4"),
+        _logic("KD5", "k d 5"),
+        _logic("KD45", "k d 4 5"),
+        _logic("KT", "k t"),
+        _logic("KTB", "k t b"),
+        _logic("KT4", "k t 4"),
+        _logic("KT45", "k t b 4 5"),
     ]
 }
 
@@ -86,8 +87,7 @@ ALIASES = {
 
 LOGIC_NAMES = tuple(_REGISTRY)
 
-_BY_UPPER = {name.upper(): name for name in _REGISTRY}
-_BY_UPPER.update({alias.upper(): target for alias, target in ALIASES.items()})
+_BY_UPPER = {key.upper(): ALIASES.get(key, key) for key in [*_REGISTRY, *ALIASES]}
 
 
 def lookup(name: str) -> Logic:

@@ -40,7 +40,7 @@ def _check_admissible(logic: Logic, v: int) -> None:
 
 
 # Implication: rows are the antecedent value, columns the consequent value.
-# Cells are space-separated value names; the table is shared by all families
+# Cells are space-separated value names; the table is shared by all logics
 # and restricted to each logic's admissible values on use.
 IMP_TABLE = {
     "F":   {"F": "T",   "f": "T",     "ff": "T",   "fff": "T",   "ttt": "T",   "tt": "T",  "t": "T",   "T": "T"},
@@ -143,10 +143,9 @@ class Nmatrix:
 @cache
 def _nmatrix_of(logic: Logic) -> Nmatrix:
     vmask = logic.values_mask
-    imp = np.zeros((8, 8), dtype=np.uint8)
-    for a in values.values_in(vmask):
-        for b in values.values_in(vmask):
-            imp[a, b] = _IMP_MASKS[a, b] & vmask
+    inside = values.in_mask(vmask, np.arange(8))
+    # cells restricted to V(L); rows and columns of values outside it zeroed
+    imp = (_IMP_MASKS & vmask) * np.outer(inside, inside)
     return Nmatrix(logic, _BOT_MASK & vmask, imp, _box_column(logic))
 
 

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import modalcube
 from modalcube.cli import main
 
 
@@ -195,3 +200,21 @@ def test_decide_output_is_deterministic():
     _, out1, _ = run(argv)
     _, out2, _ = run(argv)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("goal,code", [
+    ("(" * 300 + "p" + ")" * 300, 2),   # past the recursion limit in parse
+    ("!" * 500 + "p", 2),               # parses, then past it in closure
+    ("(" * 240 + "p" + ")" * 240, 1),   # within it
+], ids=["parentheses-300", "negations-500", "parentheses-240"])
+def test_deeply_nested_formula(goal, code):
+    # a fresh interpreter, so the recursion budget is the command line's
+    env = {**os.environ, "PYTHONPATH": str(Path(modalcube.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "modalcube.cli", "decide", goal],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == code
+    if code == 2:
+        assert proc.stdout == ""
+        assert proc.stderr == "error: formula nested too deeply\n"
+    else:
+        assert proc.stdout.startswith("INVALID\n")

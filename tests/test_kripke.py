@@ -118,6 +118,20 @@ def test_closure_impossible_outside_candidates():
         frame_closure(rel_of([(0, 1), (1, 2)], 3), {"transitive"}, cand)
 
 
+@pytest.mark.parametrize("props", [{"reflexiv"}, {"transitve", "serial"}])
+@pytest.mark.parametrize("check", [
+    lambda props: check_frame(np.zeros((2, 2), dtype=bool), props),
+    lambda props: frame_closure(np.zeros((2, 2), dtype=bool), props,
+                                np.ones((2, 2), dtype=bool)),
+], ids=["check_frame", "frame_closure"])
+def test_unknown_frame_property_rejected(check, props):
+    unknown = min(props - {"serial"})
+    with pytest.raises(ValueError) as info:
+        check(props)
+    assert str(info.value) == (f"unknown frame property {unknown!r}; "
+                               "known: serial, reflexive, symmetric, transitive, euclidean")
+
+
 def test_chain_plus_self_loops_closes_transitively():
     """A three-row chain with self loops needs exactly the one hop added to
     become transitive when every pair is admissible."""

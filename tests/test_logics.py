@@ -6,6 +6,7 @@ from modalcube.logics import LogicError, all_logics, axioms, lookup
 from modalcube.values import names_in
 
 from conftest import ALL_LOGIC_NAMES
+from reference import FRAME_PROPS, logic_values
 
 
 def test_registry_is_the_fifteen_cube_logics():
@@ -39,11 +40,11 @@ def test_unknown_logic_lists_names():
 
 
 def test_families():
-    fam = {l.name: l.family for l in all_logics()}
-    assert {n for n, f in fam.items() if f == "K*"} == {"K", "KB", "K4", "K5", "K45"}
-    assert {n for n, f in fam.items() if f == "KD*"} == {"KD", "KDB", "KD4", "KD5", "KD45"}
-    assert {n for n, f in fam.items() if f == "KT*"} == {"KT", "KTB", "KT4", "KT45"}
-    assert {n for n, f in fam.items() if f == "KB45"} == {"KB5"}
+    # the values and frame properties derived from each logic's axiom labels
+    # are those its family has in the independent transcription
+    for logic in all_logics():
+        assert frozenset(names_in(logic.values_mask)) == logic_values(logic.name), logic.name
+        assert logic.frame_props == FRAME_PROPS[logic.name], logic.name
 
 
 def test_value_sets_per_family():
@@ -63,7 +64,7 @@ def test_designated_values(logic_name):
 def test_stable_values_excluded_exactly_for_serial_families(logic_name):
     logic = lookup(logic_name)
     has_stable = logic.values_mask & values.STABLE_MASK != 0
-    assert has_stable == (logic.family in ("K*", "KB45"))
+    assert has_stable == ("D" not in FRAME_PROPS[logic_name])
 
 
 def test_axiom_lists():
