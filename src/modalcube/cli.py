@@ -276,7 +276,7 @@ def main(argv=None, out=None, err=None) -> int:
         print(f"error: {e}", file=err)
         return 2
     except RecursionError:
-        # the parser, closure and evaluators recurse once per nesting level
+        # the printer and the evaluators recurse once per nesting level
         print("error: formula nested too deeply", file=err)
         return 2
 

@@ -18,7 +18,7 @@ from functools import cache
 import numpy as np
 
 from . import values
-from ._accel import compat_matrix, signatures, support_filter_round
+from ._accel import compat_matrix, signatures, support_filter_round, supported
 from .formula import Atom, Closure, Formula, children, closure, print_formula
 from .logics import Logic
 from .nmatrix import Nmatrix, _check_admissible, nmatrix
@@ -45,6 +45,10 @@ class RowLimitError(RuntimeError):
 
 class MissingSubformulaError(ValueError):
     pass
+
+
+class ClosureImpossibleError(RuntimeError):
+    """A frame property cannot be satisfied within the admissible edge set."""
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +263,44 @@ def filter_model(logic: Logic, clo: Closure, row_cap: int = ROW_CAP_DEFAULT) -> 
     return TableModel(logic, clo, kept, iterations)
 
 
+def frame_relation(model: TableModel) -> np.ndarray:
+    """The successors of each row, for extraction and column extension alike.
+
+    Without axiom 5 this is the maximal relation, which in a filtered table
+    already has the logic's frame properties.  With 5 the maximal relation
+    need not be euclidean, and in a euclidean frame the successors of a
+    world form a cluster.  So the rows that may follow themselves split into
+    cliques of mutually admissible rows; a clique whose rows support each
+    other relates all of them, and every other row with an obligation points
+    into the first such clique that meets it, as far as the row admits.
+    """
+    maximal = model.relation_matrix()
+    if "5" not in model.logic.frame_props:
+        return maximal
+    _, bits, preq, pnreq = _kernel_inputs(model.logic, model.rows)
+    looped = maximal.diagonal()
+    mutual = maximal & maximal.T & looped & looped[:, None]
+    rel = np.zeros_like(maximal)
+    cliques, seen = [], np.zeros(model.row_count, dtype=bool)
+    for v in np.flatnonzero(looped):
+        if seen[v]:
+            continue
+        mem = np.flatnonzero(mutual[v])
+        seen[mem] = True
+        if supported(np.bitwise_or.reduce(bits[mem]), preq[mem], pnreq[mem]).all():
+            rel[np.ix_(mem, mem)] = True
+            cliques.append(mem)
+    for v in np.flatnonzero(~rel.any(axis=1) & (preq | pnreq).any(axis=1)):
+        for mem in cliques:
+            sub = mem[maximal[v, mem]]
+            if sub.size and supported(np.bitwise_or.reduce(bits[sub]), preq[v], pnreq[v]):
+                rel[v, sub] = True
+                break
+        else:
+            raise ClosureImpossibleError(f"row {v} has no euclidean support clique")
+    return rel
+
+
 # ---------------------------------------------------------------------------
 # Consequence
 # ---------------------------------------------------------------------------
@@ -342,8 +384,7 @@ def extend_column(model: TableModel, f: Formula) -> TableModel:
     is taken as it is.  The values of a multi-value cell agree on
     designation, so each successor's own cell says whether it designates
     `f`.  The row then takes the cell value that is in N iff every successor
-    designates `f` and, where the cell has such a value, in I iff no
-    successor does.
+    in `frame_relation` designates `f`, and in I iff none does.
 
     The rule expects a filtered model.  There every non-stable value carries
     a P or PN obligation, so every non-stable row has a successor: falsum,
@@ -373,13 +414,13 @@ def extend_column(model: TableModel, f: Formula) -> TableModel:
         cells = _cells(mat, rows, kind, i, j, 0, mat.bot_mask)
         multi = _POPCOUNT[cells] > 1
         if multi.any():
-            rel = model.relation_matrix()
+            rel = frame_relation(model)
             designates = cells & values.D_MASK != 0
             every = ~(rel & ~designates).any(axis=1)
             some = (rel & designates).any(axis=1)
-            fits = cells & np.where(every, values.N_MASK, ~values.N_MASK & values.ALL_MASK)
-            exact = fits & np.where(some, ~values.I_MASK & values.ALL_MASK, values.I_MASK)
-            cells = np.where(multi, np.where(exact != 0, exact, fits), cells)
+            exact = (cells & np.where(every, values.N_MASK, ~values.N_MASK & values.ALL_MASK)
+                     & np.where(some, ~values.I_MASK & values.ALL_MASK, values.I_MASK))
+            cells = np.where(multi, exact, cells)
         newcol = _SINGLE_VALUE[cells]
 
     new_rows = np.hstack([rows, newcol.reshape(-1, 1)])

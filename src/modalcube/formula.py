@@ -221,7 +221,11 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse ASCII syntax into the desugared core AST."""
     p = _Parser(text)
-    out = p.parse_formula()
+    try:
+        out = p.parse_formula()
+    except RecursionError:
+        # the parser recurses once per nesting level
+        raise ParseError("formula nested too deeply", p.peek()[2]) from None
     p.expect("eof")
     return out
 
@@ -363,14 +367,18 @@ def closure(roots) -> Closure:
         raise FormulaError("closure of an empty set")
     seen: set[Formula] = set()
     stack = list(roots)
-    while stack:
-        f = stack.pop()
-        if f in seen:
-            continue
-        seen.add(f)
-        stack.extend(children(f))
-    ordered = sorted(seen, key=lambda f: (size(f), print_formula(f)))
-    return Closure(tuple(ordered))
+    try:
+        while stack:
+            f = stack.pop()
+            if f in seen:
+                continue
+            seen.add(f)
+            stack.extend(children(f))
+        ordered = sorted(seen, key=lambda f: (size(f), print_formula(f)))
+        return Closure(tuple(ordered))
+    except RecursionError:
+        # hashing, size and the printer recurse once per nesting level
+        raise FormulaError("formula nested too deeply") from None
 
 
 def instantiate(schema: Formula, binding: dict[str, Formula]) -> Formula:

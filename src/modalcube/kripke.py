@@ -1,9 +1,10 @@
-"""Relational models: extraction from table models, frame closure, forcing,
+"""Relational models: extraction from table models, frame checks, forcing,
 and a bounded brute-force decision oracle.
 
 Extraction turns every surviving row into a world (an atom holds where the
-row designates it) and equips the worlds with a relation drawn from the
-maximal successor relation, closed under the logic's frame properties.
+row designates it) and relates the worlds by the table's frame relation,
+the one `decision.frame_relation` that column extension also reads, after
+checking that it has the logic's frame properties.
 The oracle enumerates every labelled relational model up to a world bound
 and reports the first world satisfying the assumptions but not the goal.
 """
@@ -15,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import values
-from ._accel import supported
-from .decision import TableModel, _json_with_relation, _requirement_masks
+from .decision import ClosureImpossibleError, TableModel, _json_with_relation, frame_relation
 from .formula import Atom, Falsum, Formula, Implies, atom_names
 from .logics import Logic
 from .values import in_mask
@@ -33,10 +32,6 @@ _PROP_OF_AXIOM = {
 
 _ORACLE_MAX_RELATION_BITS = 16   # relations enumerable per world count
 _ORACLE_MAX_MODELS = 1 << 26
-
-
-class ClosureImpossibleError(RuntimeError):
-    """A frame property cannot be satisfied within the admissible edge set."""
 
 
 class OracleBudgetError(RuntimeError):
@@ -152,70 +147,12 @@ class KripkeModel:
         return int(self.relation.shape[0])
 
 
-def _euclidean_support_relation(logic: Logic, model: TableModel,
-                                maximal: np.ndarray) -> np.ndarray:
-    """Euclidean support relation for the logics with 5 but not 4 (K5 and
-    KD5), whose maximal relation need not be euclidean.
-
-    Successor rows must be self-admissible, which restricts their values to
-    T, F, t, f.  Rows sharing the T/F/contingent signature are mutually
-    admissible, so each signature class whose members support each other can
-    serve as a successor clique: class members adopt the whole class, every
-    other row points into the first supporting class, and euclideanness
-    holds by construction.
-    """
-    rows = model.rows
-    n = rows.shape[0]
-    rel = np.zeros((n, n), dtype=bool)
-    if n == 0:
-        return rel
-    preq, pnreq = _requirement_masks(logic)
-    preq_rows, pnreq_rows = preq[rows], pnreq[rows]
-    bits = np.uint8(1) << rows
-
-    classes: dict[tuple, list[int]] = {}
-    for v in np.flatnonzero(maximal.diagonal()):
-        sig = tuple("T" if x == values.T else "F" if x == values.F else "c"
-                    for x in rows[v])
-        classes.setdefault(sig, []).append(int(v))
-
-    kept: list[np.ndarray] = []
-    for _, members in sorted(classes.items(), key=lambda kv: min(kv[1])):
-        mem = np.array(members)
-        avail = np.bitwise_or.reduce(bits[mem], axis=0)
-        if supported(avail, preq_rows[mem], pnreq_rows[mem]).all():
-            kept.append(mem)
-
-    in_kept = np.zeros(n, dtype=bool)
-    for mem in kept:
-        rel[np.ix_(mem, mem)] = True
-        in_kept[mem] = True
-
-    for v in range(n):
-        if in_kept[v]:
-            continue
-        if (preq_rows[v] == 0).all() and (pnreq_rows[v] == 0).all():
-            continue  # stable rows: no obligations, no successors
-        for mem in kept:
-            sub = mem[maximal[v, mem]]
-            if sub.size and supported(np.bitwise_or.reduce(bits[sub], axis=0),
-                                      preq_rows[v], pnreq_rows[v]):
-                rel[v, sub] = True
-                break
-        else:
-            raise ClosureImpossibleError(
-                f"row {v} has no euclidean-compatible support clique")
-    return rel
-
-
 def to_kripke(model: TableModel) -> KripkeModel:
     """One world per row; an atom holds where its value is designated."""
     logic = model.logic
-    maximal = model.relation_matrix()
-    if "5" in logic.frame_props and "4" not in logic.frame_props:
-        rel = _euclidean_support_relation(logic, model, maximal)
-    else:
-        rel = frame_closure(maximal, frame_props(logic), maximal)
+    rel = frame_relation(model).copy()
+    if not check_frame(rel, frame_props(logic)):
+        raise ClosureImpossibleError(f"{logic.name} frame relation lacks a frame property")
     atoms = model.closure.atom_positions()
     valuation = {
         name: in_mask(logic.designated_mask, model.rows[:, pos])

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -202,19 +203,22 @@ def test_decide_output_is_deterministic():
     assert out1 == out2
 
 
-@pytest.mark.parametrize("goal,code", [
-    ("(" * 300 + "p" + ")" * 300, 2),   # past the recursion limit in parse
-    ("!" * 500 + "p", 2),               # parses, then past it in closure
-    ("(" * 240 + "p" + ")" * 240, 1),   # within it
+@pytest.mark.parametrize("goal,error", [
+    # past the recursion limit in parse: a ParseError with its position
+    ("(" * 300 + "p" + ")" * 300, r"error: formula nested too deeply \(at position \d+\)\n"),
+    # parses, then past it in closure: a FormulaError
+    ("!" * 500 + "p", r"error: formula nested too deeply\n"),
+    ("(" * 240 + "p" + ")" * 240, None),   # within it
 ], ids=["parentheses-300", "negations-500", "parentheses-240"])
-def test_deeply_nested_formula(goal, code):
+def test_deeply_nested_formula(goal, error):
     # a fresh interpreter, so the recursion budget is the command line's
     env = {**os.environ, "PYTHONPATH": str(Path(modalcube.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "modalcube.cli", "decide", goal],
                           capture_output=True, text=True, env=env)
-    assert proc.returncode == code
-    if code == 2:
+    if error:
+        assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr == "error: formula nested too deeply\n"
+        assert re.fullmatch(error, proc.stderr)
     else:
+        assert proc.returncode == 1
         assert proc.stdout.startswith("INVALID\n")

@@ -35,6 +35,17 @@ def test_precedence_prefix_and_or_imp():
     assert parse("!p & q | r -> p") == Implies(lor(land(lnot(p), q), Atom("r")), p)
 
 
+def test_parse_rejects_deep_nesting_with_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse("(" * 300 + "p" + ")" * 300)
+
+
+def test_closure_rejects_deep_nesting_with_a_formula_error():
+    f = parse("!" * 500 + "p")
+    with pytest.raises(FormulaError, match="nested too deeply"):
+        closure([f])
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ParseError) as info:
         parse("p -> ")

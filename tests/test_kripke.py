@@ -6,14 +6,15 @@ import pytest
 
 import reference as ref
 from modalcube import kripke, values
-from modalcube.decision import filter_model
-from modalcube.formula import Atom, closure, parse
+from modalcube.decision import _cells, extend_column, filter_model
+from modalcube.formula import Atom, Box, Falsum, Implies, closure, lnot, parse
 from modalcube.kripke import (
     ClosureImpossibleError, KripkeModel, OracleBudgetError, check_frame,
     forces, frame_closure, frame_props, kripke_to_json, kripke_to_json_dict,
     oracle_decide, to_dot, to_kripke,
 )
 from modalcube.logics import LOGIC_NAMES, all_logics, lookup
+from modalcube.nmatrix import nmatrix
 
 p, q = Atom("p"), Atom("q")
 
@@ -247,6 +248,36 @@ def test_to_kripke_keeps_the_maximal_relation(name):
     for text in ("[]p -> <>q", "<>p -> []<>p", "[](p -> q) -> ([]p -> []q)"):
         model = filter_model(logic, closure([parse(text)]))
         assert np.array_equal(to_kripke(model).relation, model.relation_matrix()), text
+
+
+def test_to_kripke_does_not_alias_the_maximal_relation(logic_name):
+    model = filter_model(lookup(logic_name), closure([parse("[]p -> <>q")]))
+    rel = to_kripke(model).relation
+    assert not np.shares_memory(rel, model.relation_matrix())
+    rel[...] = ~rel
+    assert not np.array_equal(rel, to_kripke(model).relation)
+
+
+def test_extend_column_agrees_with_forcing_on_the_extracted_model(logic_name):
+    """On every multi-value cell the value chosen for g is in N iff the
+    extracted model forces []g at the row's world, and in I iff it forces
+    []!g: extraction and extension read one frame relation."""
+    logic = lookup(logic_name)
+    mat = nmatrix(logic)
+    for text in ("p", "[]p -> q", "p -> []p", "<>p -> []q", "[](p -> q)"):
+        model = filter_model(logic, closure([parse(text)]))
+        k = to_kripke(model)
+        clo = model.closure
+        for g in (Box(clo.formulas[-1]), Implies(clo.formulas[-1], clo.formulas[0]), Falsum()):
+            if g in clo:
+                continue
+            ext = extend_column(model, g)
+            kind, i, j = ext.closure.structure()[-1]
+            cells = _cells(mat, model.rows, kind, i, j, 0, mat.bot_mask)
+            for v in np.flatnonzero([bin(c).count("1") > 1 for c in cells]):
+                chosen, w = int(ext.rows[v, -1]), int(v)
+                assert values.member(chosen, "N") == forces(k, w, Box(g)), (text, str(g), w)
+                assert values.member(chosen, "I") == forces(k, w, Box(lnot(g))), (text, str(g), w)
 
 
 def test_to_kripke_valuation_tracks_designation():
