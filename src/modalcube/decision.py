@@ -20,7 +20,7 @@ import numpy as np
 from . import values
 from ._accel import compat_matrix, signatures, support_filter_round, supported
 from .formula import Atom, Closure, Formula, children, closure, print_formula
-from .logics import Logic
+from .logics import Logic, frame_tables
 from .nmatrix import Nmatrix, _check_admissible, nmatrix
 from .values import in_mask, mask_of
 
@@ -55,29 +55,11 @@ class ClosureImpossibleError(RuntimeError):
 # Successor constraints
 # ---------------------------------------------------------------------------
 
-# A value in the first set allows only successors with a value in the
-# second, in every logic with the axiom (None: necessitation, in all of them).
-# D and T constrain the values, not the successors.  A stable value is both
-# necessary and impossible, so it admits no successors at all.
-_SUCCESSOR_CONDITIONS = (
-    (None, "N", "D"), (None, "I", "Dc"),
-    ("B", "D", "P"), ("B", "Dc", "PN"),
-    ("4", "N", "N"), ("4", "I", "I"),
-    ("5", "P", "P"), ("5", "PN", "PN"),
-)
-
-
-@cache
 def _allowed_masks(logic: Logic) -> np.ndarray:
-    """uint8[8]: allowed-successor mask per value (0 outside the logic)."""
-    arr = np.zeros(8, dtype=np.uint8)
-    for v in values.values_in(logic.values_mask):
-        out = logic.values_mask
-        for axiom, held, needed in _SUCCESSOR_CONDITIONS:
-            if (axiom is None or axiom in logic.frame_props) and values.member(v, held):
-                out &= values.NAMED_SETS[needed]
-        arr[v] = out
-    return arr
+    """uint8[8]: allowed-successor mask per value (0 outside the logic), the
+    values an atom takes after a world where it takes the value, read off
+    the logic's frames.  A stable value admits no successors at all."""
+    return frame_tables(logic.frame_props).successors
 
 
 def allowed_successors(logic: Logic, v: int) -> int:
@@ -89,14 +71,8 @@ def allowed_successors(logic: Logic, v: int) -> int:
 def _requirement_masks(logic: Logic) -> tuple[np.ndarray, np.ndarray]:
     """Per value: the designated-side and non-designated-side witness masks."""
     allowed = _allowed_masks(logic)
-    preq = np.zeros(8, dtype=np.uint8)
-    pnreq = np.zeros(8, dtype=np.uint8)
-    for v in values.values_in(logic.values_mask):
-        if values.member(v, "P"):
-            preq[v] = allowed[v] & logic.designated_mask
-        if values.member(v, "PN"):
-            pnreq[v] = allowed[v] & logic.nondesignated_mask
-    return preq, pnreq
+    return ((allowed & logic.designated_mask) * in_mask(values.P_MASK, _BITS),
+            (allowed & logic.nondesignated_mask) * in_mask(values.PN_MASK, _BITS))
 
 
 def support_requirements(logic: Logic, v: int) -> list[int]:

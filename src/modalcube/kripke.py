@@ -1,5 +1,6 @@
 """Relational models: extraction from table models, frame checks, forcing,
-and a bounded brute-force decision oracle.
+and a bounded brute-force decision oracle.  The frame condition of each
+axiom is stated once, in `logics`, and checked here.
 
 Extraction turns every surviving row into a world (an atom holds where the
 row designates it) and relates the worlds by the table's frame relation,
@@ -18,17 +19,8 @@ import numpy as np
 
 from .decision import ClosureImpossibleError, TableModel, _json_with_relation, frame_relation
 from .formula import Atom, Falsum, Formula, Implies, atom_names
-from .logics import Logic
+from .logics import _PROP_OF_AXIOM, Logic, _compose, _holds, _missing, _relations
 from .values import in_mask
-
-# frame property per axiom that holds in the logic
-_PROP_OF_AXIOM = {
-    "D": "serial",
-    "T": "reflexive",
-    "B": "symmetric",
-    "4": "transitive",
-    "5": "euclidean",
-}
 
 _ORACLE_MAX_RELATION_BITS = 16   # relations enumerable per world count
 _ORACLE_MAX_MODELS = 1 << 26
@@ -43,42 +35,8 @@ def frame_props(logic: Logic) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# Frame properties, on one (n, n) relation or a batch (..., n, n)
+# Frame checks, by the conditions `logics` states per axiom
 # ---------------------------------------------------------------------------
-
-def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean product of relations: (a;b)[x, z] iff a[x, y] and b[y, z]
-    for some y (`b` may also be a set of worlds, one bool per world).
-
-    The float32 matmul is exact as a boolean product: each entry sums
-    non-negative 0/1 terms, so no positive count can round to zero.
-    """
-    return np.matmul(a, b, dtype=np.float32) > 0
-
-
-def _missing(rel: np.ndarray, props) -> np.ndarray:
-    """Edges that the reflexive, symmetric, transitive and euclidean
-    conditions among `props` require and `rel` lacks."""
-    conv = np.swapaxes(rel, -1, -2)
-    need = np.zeros_like(rel, dtype=bool)
-    if "reflexive" in props:
-        need |= np.eye(rel.shape[-1], dtype=bool)
-    if "symmetric" in props:
-        need |= conv                          # xRy -> yRx
-    if "transitive" in props:
-        need |= _compose(rel, rel)            # xRy, yRz -> xRz
-    if "euclidean" in props:
-        need |= _compose(conv, rel)           # xRy, xRz -> yRz
-    return need & ~rel
-
-
-def _holds(rel: np.ndarray, props) -> np.ndarray:
-    """Whether each relation has every property in `props`."""
-    ok = ~_missing(rel, props).any(axis=(-2, -1))
-    if "serial" in props:
-        ok &= rel.any(axis=-1).all(axis=-1)
-    return ok
-
 
 def _check_names(props) -> None:
     """Raise ValueError unless every name in `props` is a frame property."""
@@ -221,10 +179,7 @@ class OracleVerdict:
 @functools.cache
 def _frame_relations(n: int, props: frozenset[str]) -> np.ndarray:
     """All (n, n) relations with the properties, ascending by bitmask."""
-    count = 1 << (n * n)
-    masks = np.arange(count, dtype=np.int64)
-    rels = ((masks[:, None] >> np.arange(n * n)) & 1).astype(bool)
-    rels = rels.reshape(count, n, n)
+    rels = _relations(n)
     return rels[_holds(rels, props)]
 
 

@@ -1,10 +1,11 @@
 """Per-logic non-deterministic truth functions for bot, -> and [].
 
+The box column is read off the logic's frames (`logics.frame_tables`).
 Falsum and implication are literal data shared by all logics and restricted
-to each logic's values.  The box column is derived from the logic's axioms,
-one condition per axiom.  Derived connectives are never hand-tabulated:
-negation is the bot column of the implication table and diamond is computed
-by composing negation and box over every intermediate choice.
+to each logic's values; implication keeps the cells that mix a stable with a
+non-stable argument, which no frame realizes.  Derived connectives are never
+hand-tabulated: negation is the bot column of the implication table and
+diamond is computed by composing negation and box over every choice.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from . import values
-from .logics import Logic, lookup
+from .logics import Logic, frame_tables, lookup
 from .values import mask_of
 
 __all__ = [
@@ -25,12 +26,10 @@ __all__ = [
 
 
 class ValueNotInLogicError(ValueError):
-    def __init__(self, v: int, logic: Logic, falsum: bool = False):
+    def __init__(self, v: int, logic: Logic):
         name = values.VALUE_NAMES[v] if 0 <= v < 8 else f"code {v} (codes are 0-7)"
-        what, label, mask = (("a falsum value", "falsum values", _BOT_MASK & logic.values_mask)
-                             if falsum else ("admissible", "admissible", logic.values_mask))
-        super().__init__(f"value {name} is not {what} in {logic.name} "
-                         f"({label}: {' '.join(values.names_in(mask))})")
+        super().__init__(f"value {name} is not admissible in {logic.name} "
+                         f"(admissible: {' '.join(values.names_in(logic.values_mask))})")
 
 
 def _check_admissible(logic: Logic, v: int) -> None:
@@ -63,36 +62,6 @@ for _a, _row in IMP_TABLE.items():
 _BOT_MASK = mask_of(BOT_VALUES)
 
 
-def _box_column(logic: Logic) -> np.ndarray:
-    """uint8[8]: the values of []a per value a (0 outside the logic).
-
-    In K, []a is designated iff a is necessary (in N); a non-stable a gives
-    a non-stable value and a stable a gives tt.  Each axiom then narrows
-    the cell: 4 keeps a necessary a's box necessary, B makes a false a's
-    box impossible (I), 5 makes an unnecessary a's box impossible and a
-    necessary a's box necessary or impossible, and T (or D together with 4)
-    keeps an impossible a's box impossible.
-    """
-    props = logic.frame_props
-    col = np.zeros(8, dtype=np.uint8)
-    for a in values.values_in(logic.values_mask):
-        necessary = values.member(a, "N")
-        if values.STABLE_MASK >> a & 1:
-            out = 1 << values.tt
-        else:
-            out = (values.D_MASK if necessary else values.DC_MASK) & ~values.STABLE_MASK
-        if "4" in props and necessary:
-            out &= values.N_MASK
-        if "B" in props and values.member(a, "Dc"):
-            out &= values.I_MASK
-        if "5" in props:
-            out &= values.N_MASK | values.I_MASK if necessary else values.I_MASK
-        if ("T" in props or {"D", "4"} <= props) and values.member(a, "I"):
-            out &= values.I_MASK
-        col[a] = out & logic.values_mask
-    return col
-
-
 @dataclass(frozen=True)
 class Nmatrix:
     logic: Logic
@@ -116,27 +85,18 @@ class Nmatrix:
         _check_admissible(self.logic, a)
         return int(self.box_masks[a])
 
-    def neg(self, a: int, bot_val: int = values.F) -> int:
-        """Negation is the implication into a falsum value."""
-        out = self.imp(a, bot_val)
-        if not (self.bot_mask >> bot_val & 1):
-            raise ValueNotInLogicError(bot_val, self.logic, falsum=True)
-        return out
-
-    def dia(self, a: int, bot_val: int | None = None) -> int:
-        """Diamond by composition: union of neg(box(neg(a))) over all choices.
-
-        The falsum value defaults to ff on the stable fragment and F
-        elsewhere, matching how the two kinds of rows evaluate bot.
-        """
+    def neg(self, a: int) -> int:
+        """Negation is the implication into falsum, which is ff for a stable
+        argument and F otherwise, as the two kinds of rows evaluate bot."""
         _check_admissible(self.logic, a)
-        if bot_val is None:
-            stable = bool(values.STABLE_MASK >> a & 1)
-            bot_val = values.ff if stable and (self.bot_mask >> values.ff & 1) else values.F
+        return self.imp(a, values.ff if values.STABLE_MASK >> a & 1 else values.F)
+
+    def dia(self, a: int) -> int:
+        """Diamond by composition: union of neg(box(neg(a))) over all choices."""
         out = 0
-        for b in values.values_in(self.neg(a, bot_val)):
+        for b in values.values_in(self.neg(a)):
             for c in values.values_in(self.box(b)):
-                out |= self.neg(c, bot_val)
+                out |= self.neg(c)
         return out
 
 
@@ -146,7 +106,7 @@ def _nmatrix_of(logic: Logic) -> Nmatrix:
     inside = values.in_mask(vmask, np.arange(8))
     # cells restricted to V(L); rows and columns of values outside it zeroed
     imp = (_IMP_MASKS & vmask) * np.outer(inside, inside)
-    return Nmatrix(logic, _BOT_MASK & vmask, imp, _box_column(logic))
+    return Nmatrix(logic, _BOT_MASK & vmask, imp, frame_tables(logic.frame_props).box)
 
 
 def nmatrix(logic: Logic | str) -> Nmatrix:

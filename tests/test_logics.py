@@ -2,7 +2,7 @@ import pytest
 
 from modalcube import values
 from modalcube.formula import parse, print_formula
-from modalcube.logics import LogicError, all_logics, axioms, lookup
+from modalcube.logics import LogicError, all_logics, axioms, frame_tables, lookup
 from modalcube.values import names_in
 
 from conftest import ALL_LOGIC_NAMES
@@ -87,3 +87,19 @@ def test_every_axiom_label_has_matching_frame_prop(logic_name):
         if label == "k":
             continue
         assert label.upper() in logic.frame_props
+
+
+def test_three_worlds_give_the_frame_tables_exactly():
+    """Four worlds add nothing to the tables read off three in any logic,
+    and two are too few in some."""
+    too_few = []
+    for logic in all_logics():
+        three = frame_tables(logic.frame_props)
+        four = frame_tables(logic.frame_props, worlds=4)
+        assert four.values_mask == three.values_mask, logic.name
+        assert (four.successors == three.successors).all(), logic.name
+        assert (four.box == three.box).all(), logic.name
+        two = frame_tables(logic.frame_props, worlds=2)
+        if (two.successors != three.successors).any() or (two.box != three.box).any():
+            too_few.append(logic.name)
+    assert too_few

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 import reference as ref
 from modalcube import values
-from modalcube.logics import lookup
+from modalcube.kripke import _frame_relations, frame_props
+from modalcube.logics import lookup, value_at
 from modalcube.nmatrix import ValueNotInLogicError, nmatrix
 from modalcube.values import mask_of, names_in, value_id
 
@@ -46,18 +48,16 @@ def test_box_examples():
 
 def test_neg_examples():
     k = nmatrix("K")
-    assert _names(k.neg(values.T, values.F)) == {"F"}
-    assert _names(k.neg(values.tt, values.ff)) == {"ff"}
-    assert _names(nmatrix("KT").neg(values.f, values.F)) == {"t"}
+    assert _names(k.neg(values.T)) == {"F"}
+    assert _names(nmatrix("KT").neg(values.f)) == {"t"}
 
 
-def test_neg_requires_a_falsum_value():
-    with pytest.raises(ValueNotInLogicError,
-                       match=r"^value t is not a falsum value in K \(falsum values: F ff\)$"):
-        nmatrix("K").neg(values.T, values.t)
-    with pytest.raises(ValueNotInLogicError,
-                       match=r"^value ff is not admissible in KD \(admissible: "):
-        nmatrix("KD").neg(values.T, values.ff)
+def test_neg_of_a_stable_value_is_stable():
+    """Falsum is ff on the stable fragment, so negation never mixes stable
+    with non-stable values."""
+    k = nmatrix("K")
+    assert _names(k.neg(values.tt)) == {"ff"}
+    assert _names(k.neg(values.ff)) == {"tt"}
 
 
 def test_value_not_in_logic():
@@ -83,7 +83,25 @@ def test_dia_frozen_values():
     # values fixed by the composition, not printed anywhere as a table
     assert _names(nmatrix("KT").dia(values.T)) == {"T"}
     assert _names(nmatrix("KD").dia(values.F)) == {"F", "f", "fff"}
-    assert _names(nmatrix("K").dia(values.tt, values.ff)) == {"ff"}
+    assert _names(nmatrix("K").dia(values.tt)) == {"ff"}
+
+
+def test_imp_table_agrees_with_three_world_frames(logic_name):
+    """A cell whose arguments are both stable or both non-stable holds
+    exactly the values p -> q takes where p and q take them, over the
+    logic's 3-world frames and every valuation of p and q; no frame realizes
+    a cell that mixes the two kinds."""
+    logic = lookup(logic_name)
+    rels = _frame_relations(3, frame_props(logic))
+    vals = np.arange(64)
+    p = (vals >> np.arange(3)[:, None]) & 1 == 1
+    q = (vals >> np.arange(3, 6)[:, None]) & 1 == 1
+    seen = np.zeros((8, 8, 8), dtype=bool)
+    seen[value_at(rels, p), value_at(rels, q), value_at(rels, ~p | q)] = True
+    got = np.packbits(seen, axis=-1, bitorder="little")[..., 0]
+    stable = values.in_mask(values.STABLE_MASK, np.arange(8))
+    want = np.where(stable[:, None] == stable, nmatrix(logic).imp_masks, 0)
+    assert (got == want).all()
 
 
 def _coherent_pairs(vmask):
