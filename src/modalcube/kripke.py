@@ -6,13 +6,15 @@ Extraction turns every surviving row into a world (an atom holds where the
 row designates it) and relates the worlds by the table's frame relation,
 the one `decision.frame_relation` that column extension also reads, after
 checking that it has the logic's frame properties.
-The oracle enumerates every labelled relational model up to a world bound
-and reports the first world satisfying the assumptions but not the goal.
+The oracle searches relational models up to a world bound, one frame per
+isomorphism class, and reports the first world satisfying the assumptions but
+not the goal: the same one a search over every labelled frame reports.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,10 +179,28 @@ class OracleVerdict:
 
 
 @functools.cache
+def _orbit_representatives(n: int) -> np.ndarray:
+    """The (n, n) relations that are the least bitmask of their orbit under
+    permutations of the worlds, one per isomorphism class, ascending.  A
+    relation's bitmask is its index in `_relations(n)`."""
+    masks = np.arange(1 << n * n, dtype=np.int64)
+    edge = np.arange(n * n).reshape(n, n)
+    least = np.ones(len(masks), dtype=bool)
+    for perm in itertools.permutations(range(n)):
+        # bit i*n + j of the image is the edge (perm[i], perm[j])
+        image = np.zeros_like(masks)
+        for bit, src in enumerate(edge[np.ix_(perm, perm)].ravel()):
+            image |= (masks >> src & 1) << bit
+        least &= masks <= image
+    return _relations(n)[least]
+
+
+@functools.cache
 def _frame_relations(n: int, props: frozenset[str]) -> np.ndarray:
-    """All (n, n) relations with the properties, ascending by bitmask."""
-    rels = _relations(n)
-    return rels[_holds(rels, props)]
+    """One (n, n) relation with the properties per isomorphism class, the
+    least by bitmask, ascending."""
+    reps = _orbit_representatives(n)
+    return reps[_holds(reps, props)]
 
 
 def oracle_decide(logic: Logic, assumptions, goal: Formula,
@@ -188,8 +208,12 @@ def oracle_decide(logic: Logic, assumptions, goal: Formula,
     """Exhaustive search for a world refuting the consequence, by model size.
 
     Deterministic order: world count, then relation bitmask, then valuation
-    bitmask, then world index.  The bound is a budget, not a completeness
-    claim: a miss only says no countermodel exists up to `max_worlds` worlds.
+    bitmask, then world index.  Only the least relation of each isomorphism
+    class is searched, and the answer is the one the search over every
+    labelled relation gives: isomorphism preserves forcing and the frame
+    properties, so the first relation with a refuting world is the least of
+    its class.  The bound is a budget, not a completeness claim: a miss only
+    says no countermodel exists up to `max_worlds` worlds.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
@@ -199,6 +223,7 @@ def oracle_decide(logic: Logic, assumptions, goal: Formula,
     for n in range(1, max_worlds + 1):
         if n * n > _ORACLE_MAX_RELATION_BITS:
             raise OracleBudgetError(f"{n} worlds: relation space too large")
+        # counts every labelled relation, though one per class is searched
         if (1 << (n * n)) * (1 << (len(atoms) * n)) > _ORACLE_MAX_MODELS:
             raise OracleBudgetError(f"{n} worlds x {len(atoms)} atoms over budget")
 

@@ -1,19 +1,23 @@
 import json
-from itertools import product
+import random
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
 import reference as ref
 from modalcube import kripke, values
+from modalcube.cli import random_formula
 from modalcube.decision import _cells, extend_column, filter_model
-from modalcube.formula import Atom, Box, Falsum, Implies, closure, lnot, parse
+from modalcube.formula import (
+    Atom, Box, Falsum, Implies, atom_names, closure, instantiate, lnot, parse,
+)
 from modalcube.kripke import (
     ClosureImpossibleError, KripkeModel, OracleBudgetError, check_frame,
     forces, frame_closure, frame_props, kripke_to_json, kripke_to_json_dict,
     oracle_decide, to_dot, to_kripke,
 )
-from modalcube.logics import LOGIC_NAMES, all_logics, lookup
+from modalcube.logics import LOGIC_NAMES, _holds, _relations, all_logics, axioms, lookup
 from modalcube.nmatrix import nmatrix
 
 p, q = Atom("p"), Atom("q")
@@ -65,23 +69,46 @@ PROP_SETS = sorted({frozenset([prop]) for prop in FIRST_ORDER}
                    | {frame_props(logic) for logic in all_logics()}, key=sorted)
 
 
+def _least_of_orbit(mask, r, n):
+    """Whether no permutation of the worlds maps r to a smaller bitmask."""
+    return all(mask <= sum(1 << (i * n + j) for i, j in product(range(n), repeat=2)
+                           if r[perm[i]][perm[j]])
+               for perm in permutations(range(n)))
+
+
 @pytest.mark.parametrize("n", range(4))
 def test_frame_properties_match_first_order_definitions(n):
-    """check_frame and the oracle's frame enumeration agree with the
-    first-order definitions on every relation over n worlds, bit i*n + j of
-    the mask standing for the edge (i, j)."""
+    """check_frame agrees with the first-order definitions on every relation
+    over n worlds, bit i*n + j of the mask standing for the edge (i, j), and
+    the oracle's frames are the relations that meet them and are the least
+    bitmask of their orbit under permutations of the worlds."""
     rels = [[[bool(mask >> (i * n + j) & 1) for j in range(n)] for i in range(n)]
             for mask in range(1 << (n * n))]
+    least = [_least_of_orbit(mask, r, n) for mask, r in enumerate(rels)]
     for props in PROP_SETS:
         agree = []
         for mask, r in enumerate(rels):
             want = all(FIRST_ORDER[prop](r, n) for prop in props)
             assert check_frame(np.array(r, dtype=bool).reshape(n, n), props) == want, \
                 (n, mask, sorted(props))
-            if want:
+            if want and least[mask]:
                 agree.append(r)
         got = kripke._frame_relations(n, props)
         assert got.shape == (len(agree), n, n) and got.tolist() == agree, sorted(props)
+
+
+# unlabelled relations on four points, by OEIS sequence
+@pytest.mark.parametrize("props, count", [
+    ((), 3044),                                              # A000595
+    (("reflexive",), 218),                                   # A000273
+    (("symmetric",), 90),                                    # A000666
+    (("reflexive", "symmetric"), 11),                        # A000088
+    (("transitive",), 242),                                  # A091073
+    (("reflexive", "transitive"), 33),                       # A001930
+    (("reflexive", "symmetric", "transitive"), 5),           # partitions of 4
+])
+def test_four_world_frames_count_isomorphism_classes(props, count):
+    assert len(kripke._frame_relations(4, frozenset(props))) == count
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +387,64 @@ def test_oracle_budget_guard():
         oracle_decide(lookup("KT"), [], parse("[]p -> p"), 5)
 
 
+def test_oracle_atom_budget_counts_labelled_relations():
+    # a valid goal in three atoms passes three worlds and reaches four, where
+    # 2**16 labelled relations x 2**12 valuations exceed the budget
+    goal = parse("[](p -> q) -> ([](q -> r) -> [](p -> r))")
+    assert not oracle_decide(lookup("K"), [], goal, 3).found
+    with pytest.raises(OracleBudgetError, match="3 atoms over budget"):
+        oracle_decide(lookup("K"), [], goal, 4)
+
+
+def _search_every_frame(logic, assumptions, goal, max_worlds):
+    """oracle_decide's search, in (relation, valuation, world) order, over
+    every labelled relation with the logic's frame properties."""
+    atoms = sorted(set().union(*(atom_names(f) for f in [*assumptions, goal])))
+    for n in range(1, max_worlds + 1):
+        rels = _relations(n)
+        rels = rels[_holds(rels, frame_props(logic))]
+        vmasks = np.arange(1 << len(atoms) * n)
+        vals = {name: (vmasks >> (k * n + np.arange(n))[:, None]) & 1 == 1
+                for k, name in enumerate(atoms)}
+        false = np.zeros((n, len(vmasks)), dtype=bool)
+        cache = {}
+        hit = ~kripke._truth(goal, rels, vals, false, cache)
+        for a in assumptions:
+            hit = hit & kripke._truth(a, rels, vals, false, cache)
+        hit = np.broadcast_to(hit, (len(rels), n, len(vmasks))).transpose(0, 2, 1)
+        if hit.any():
+            ri, vi, wi = np.unravel_index(np.argmax(hit), hit.shape)
+            return rels[ri], {name: vals[name][:, vi] for name in atoms}, int(wi)
+    return None
+
+
+def test_oracle_matches_the_search_over_every_frame(logic_name):
+    """Searching one relation per isomorphism class finds the same verdict,
+    world, relation and valuation as searching every labelled relation."""
+    logic = lookup(logic_name)
+    schemas = dict(axioms(lookup("KT45")))
+    schemas.update(axioms(logic))
+    rng = random.Random(13)
+    cases = [([], instantiate(schema, {"a": p, "b": q})) for schema in schemas.values()]
+    cases += [([], random_formula(rng, 3, ["p", "q"])) for _ in range(10)]
+    cases.append(([parse("[]p"), parse("<>(p -> q)")], parse("[]q")))
+    for assumptions, goal in cases:
+        verdict = oracle_decide(logic, assumptions, goal, 3)
+        want = _search_every_frame(logic, assumptions, goal, 3)
+        assert verdict.found == (want is not None), goal
+        if want is not None:
+            rel, valuation, world = want
+            model = verdict.countermodel
+            assert verdict.world == world, goal
+            assert model.relation.tobytes() == rel.tobytes(), goal
+            assert model.relation.shape == rel.shape, goal
+            assert {a: v.tolist() for a, v in model.valuation.items()} == \
+                {a: v.tolist() for a, v in valuation.items()}, goal
+
+
 def test_oracle_enumerated_frames_validate_axioms(logic_name):
     """Sanity of the frame filters: every defining axiom instance holds on
     every enumerated frame of its own logic."""
-    from modalcube.formula import instantiate
-    from modalcube.logics import axioms
     logic = lookup(logic_name)
     for label, schema in axioms(logic):
         inst = instantiate(schema, {"a": p, "b": q})
