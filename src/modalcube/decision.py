@@ -96,59 +96,76 @@ def support_requirements(logic: Logic, v: int) -> list[int]:
 # Row enumeration
 # ---------------------------------------------------------------------------
 
-def _expand(rows: np.ndarray, cell_masks: np.ndarray, row_cap: int) -> np.ndarray:
-    """Append one column, branching each row over the bits of its cell mask."""
-    total = int(_POPCOUNT[cell_masks].sum())
+def _expand(rows: np.ndarray, cells: np.ndarray, k: int, row_cap: int) -> np.ndarray:
+    """Fill column k, branching each row over the bits of its cell mask.
+
+    `np.nonzero` lists (row, value) pairs in row-major order, so branching
+    lex-sorted, distinct rows in ascending value order keeps them lex-sorted
+    and distinct.
+    """
+    bits = np.unpackbits(cells[:, None], axis=1, bitorder="little")
+    total = np.count_nonzero(bits)
     if total > row_cap:
         raise RowLimitError(total, row_cap)
-    src, v = np.nonzero((cell_masks[:, None] >> _BITS) & 1)
-    return np.hstack([rows[src], v.astype(np.uint8)[:, None]])
-
-
-def _lexsorted(rows: np.ndarray) -> np.ndarray:
-    if rows.shape[0] <= 1:
-        return rows
-    return rows[np.lexsort(rows.T[::-1])]
+    src, v = bits.nonzero()
+    out = rows.take(src, axis=0)
+    out[:, k] = v
+    return out
 
 
 def _cells(mat: Nmatrix, rows: np.ndarray, kind: str, i: int, j: int,
-           atoms: int, bot: int) -> np.ndarray:
+           atoms: np.ndarray, bot: np.ndarray) -> np.ndarray:
     """Per row, the admissible-value mask of one closure position.
 
-    Atoms and falsum take the given masks; box and implication read the
-    Nmatrix at the row's values of their arguments.
+    Atoms and falsum read the uint8[8] tables `atoms` and `bot` at the row's
+    first value; box and implication read the Nmatrix at the row's values of
+    their arguments.
     """
     if kind == "box":
         return mat.box_masks[rows[:, i]]
     if kind == "imp":
         return mat.imp_masks[rows[:, i], rows[:, j]]
-    return np.full(rows.shape[0], atoms if kind == "atom" else bot, dtype=np.uint8)
+    return (atoms if kind == "atom" else bot)[rows[:, 0]]
+
+
+@cache
+def _fragment_tables(logic: Logic) -> tuple[np.ndarray, np.ndarray]:
+    """Atom and falsum masks indexed by a row's first value: the stable atoms
+    and ff when it is tt or ff, the non-stable atoms and F otherwise."""
+    stable = in_mask(values.STABLE_MASK, np.arange(8))
+    atoms = np.where(stable, values.STABLE_MASK, ~values.STABLE_MASK) & logic.values_mask
+    bot = np.where(stable, 1 << values.ff, 1 << values.F) & logic.values_mask
+    return atoms.astype(np.uint8), bot.astype(np.uint8)
+
+
+@cache
+def _union_tables(logic: Logic) -> tuple[np.ndarray, np.ndarray]:
+    """Atom and falsum masks over both fragments, whatever the first value."""
+    return (np.full(8, logic.values_mask, dtype=np.uint8),
+            np.full(8, nmatrix(logic).bot_mask, dtype=np.uint8))
 
 
 def enumerate_rows(logic: Logic, clo: Closure, row_cap: int = ROW_CAP_DEFAULT) -> np.ndarray:
     """All table-compatible rows over the closure, lexicographically sorted.
 
-    Rows mixing stable (tt/ff) with non-stable values are never generated.
-    The same Nmatrix loop runs once per fragment: with non-stable atoms and
-    falsum F, whose compound cells then stay non-stable on their own, and,
-    when the logic has tt/ff, with stable atoms and falsum ff, whose cells
-    form the two-valued stable fragment of the same Nmatrix.
+    One pass over the closure builds the non-stable and the stable (tt/ff)
+    fragment at once.  Column 0, an atom or falsum, takes the values of both;
+    every later atom or falsum column takes its fragment's values, read off
+    the row's first value.  Box and implication cells stay inside their
+    fragment, so rows mixing stable with non-stable values are never
+    generated.  Each column branches in ascending value order, which leaves
+    the rows sorted without a final sort.  No reachable cell is empty, so
+    the row count never drops from one column to the next, and the cap check
+    at each column raises exactly when the final count exceeds the cap.
     """
     mat = nmatrix(logic)
-    vmask = logic.values_mask
-    fragments = [(vmask & ~values.STABLE_MASK, 1 << values.F)]
-    if vmask & values.STABLE_MASK == values.STABLE_MASK:
-        fragments.append((values.STABLE_MASK, 1 << values.ff))
-    parts = []
-    for atoms, bot in fragments:
-        rows = np.zeros((1, 0), dtype=np.uint8)
-        for kind, i, j in clo.structure():
-            rows = _expand(rows, _cells(mat, rows, kind, i, j, atoms, bot), row_cap)
-        parts.append(rows)
-    total = sum(part.shape[0] for part in parts)
-    if total > row_cap:
-        raise RowLimitError(total, row_cap)
-    return _lexsorted(np.vstack(parts))
+    structure = clo.structure()
+    rows = np.zeros((1, len(structure)), dtype=np.uint8)
+    tables, fragment = _union_tables(logic), _fragment_tables(logic)
+    for k, (kind, i, j) in enumerate(structure):
+        rows = _expand(rows, _cells(mat, rows, kind, i, j, *tables), k, row_cap)
+        tables = fragment
+    return rows
 
 
 def validate_rows(logic: Logic, clo: Closure, rows: np.ndarray) -> np.ndarray:
@@ -157,7 +174,7 @@ def validate_rows(logic: Logic, clo: Closure, rows: np.ndarray) -> np.ndarray:
     ok = in_mask(logic.values_mask, rows).all(axis=1)
     rows = np.where(ok[:, None], rows, 0)  # rejected rows read no cell past code 7
     for k, (kind, i, j) in enumerate(clo.structure()):
-        cells = _cells(mat, rows, kind, i, j, logic.values_mask, mat.bot_mask)
+        cells = _cells(mat, rows, kind, i, j, *_union_tables(logic))
         ok &= (cells >> rows[:, k]) & 1 == 1
     stable = in_mask(values.STABLE_MASK, rows)
     ok &= ~stable.any(axis=1) | stable.all(axis=1)
@@ -387,7 +404,7 @@ def extend_column(model: TableModel, f: Formula) -> TableModel:
         newcol = rows[:, 0].copy()
     else:
         mat = nmatrix(logic)
-        cells = _cells(mat, rows, kind, i, j, 0, mat.bot_mask)
+        cells = _cells(mat, rows, kind, i, j, *_union_tables(logic))
         multi = _POPCOUNT[cells] > 1
         if multi.any():
             rel = frame_relation(model)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -13,8 +14,10 @@ from modalcube.decision import (
     TableModel, filter_rows, level_filter, model_to_csv, model_to_json,
     model_to_json_dict, support_requirements, validate_rows,
 )
-from modalcube.formula import Atom, Box, Falsum, Implies, closure, parse, print_formula
-from modalcube.logics import lookup
+from modalcube.formula import (
+    Atom, Box, Falsum, Implies, closure, instantiate, parse, print_formula,
+)
+from modalcube.logics import AXIOM_SCHEMAS, lookup
 from modalcube.nmatrix import ValueNotInLogicError, nmatrix
 from modalcube.values import in_mask, names_in, value_id
 
@@ -58,10 +61,67 @@ def test_enumerate_matches_reference(logic_name):
         assert rows == ref.enumerate_rows(logic_name, clo.formulas), text
 
 
+# Closures whose enumeration is pinned: the axiom schemas over p and q,
+# closures whose position 0 is falsum, and closures of several roots
+# (assumptions plus goal).
+PINNED_CLOSURES = (
+    [closure([instantiate(parse(s), {"a": p, "b": q})]) for s in AXIOM_SCHEMAS.values()]
+    + [closure([parse(text)]) for text in ("!p -> q", "<>p -> []q")]
+    + [closure([parse(text) for text in roots]) for roots in (
+        ("[](p -> q)", "[]p", "[]q"),
+        ("p -> []q", "!q", "<>!p"),
+        ("[]p", "<>q", "<>(p & q)"),
+    )]
+)
+
+# sha256 over (shape, bytes) of enumerate_rows on PINNED_CLOSURES, computed
+# at commit 8aa40ad, whose enumeration built the non-stable and the stable
+# fragment apart and then stacked and sorted them
+PINNED_DIGESTS = {
+    "K": "b0db9c6a45404f34220c0a08eac47481bf7f2b6b5bd3e6e37b002841d4fb860a",
+    "KB": "0f6cd0160227f10d9d618f820d6bf8276a6bba2321bcb4666fcdfd6735dd36c7",
+    "K4": "ee182857e9764a219320d5a0c266594d6bfabed25bc46bc297dfe8cdc040f335",
+    "K5": "04c46501cd643bcd13edd29b69d47628f3a18521a61e26ee80c51507f0179017",
+    "K45": "b8c624228f8ddfe0b5c54d42ebefebabc97424d7ef7287899e054ddc2acb53e3",
+    "KB5": "61a9d01f66f9c2c3dfa16acb158a80e466eea4cf5c8aa3bf213961458d425220",
+    "KD": "a164875b28591ef0207b11e134696e9139e558e721913cfd6abc65b056c11851",
+    "KDB": "f4da9cee7f3c4f95e027959af8391c60f2bad4b63eafd81d6e2aafd04d73a805",
+    "KD4": "46237e2aabcd340c3490ecde9d8190bf4222e56d82f3ac57119a8d4614add0f6",
+    "KD5": "670949a4202df734a84bcb28269a310ae38716a9d6edc3eab2648706f1d608de",
+    "KD45": "dad2b24334930b828268aaf463670ffb7faabc2b6dcf831f024bcc4cfd38bb09",
+    "KT": "2700f5d593b7a4d92ee36365e6a90712272d5a2b41082ff19b9765b5561f670c",
+    "KTB": "a1b1dd31ec23cedc75cf9a1a930879d18c01eb04f9c401b327e2a9857808e5c9",
+    "KT4": "a982744cc3227ae73a5f35dee9874a8ddcd74f42147a6e32df58caa786b13632",
+    "KT45": "e8b4e2fb654b9f032445a8ac5193e25a3fca4a1602bac1f0cbf4f193f5b5a387",
+}
+
+
 def test_rows_are_sorted_and_distinct(logic_name):
-    rows = enumerate_rows(lookup(logic_name), closure([parse("[]p -> q")]))
-    as_tuples = [tuple(r) for r in rows]
-    assert as_tuples == sorted(set(as_tuples))
+    assert any(clo.formulas[0] == Falsum() for clo in PINNED_CLOSURES)
+    for clo in [closure([parse("[]p -> q")])] + PINNED_CLOSURES:
+        rows = enumerate_rows(lookup(logic_name), clo)
+        as_tuples = [tuple(r) for r in rows]
+        assert as_tuples == sorted(set(as_tuples)), clo.formulas
+
+
+def test_enumeration_is_pinned_byte_for_byte(logic_name):
+    digest = hashlib.sha256()
+    for clo in PINNED_CLOSURES:
+        rows = enumerate_rows(lookup(logic_name), clo)
+        digest.update(repr(rows.shape).encode())
+        digest.update(rows.tobytes())
+    assert digest.hexdigest() == PINNED_DIGESTS[logic_name]
+
+
+def test_largest_closure_enumerates_sorted_valid_rows():
+    """K on the closure of 194408 rows, enumerated but not filtered."""
+    logic, clo = lookup("K"), closure([parse("[][][]p -> <><>(q -> []r)")])
+    rows = enumerate_rows(logic, clo)
+    assert rows.shape == (194408, len(clo))
+    # sorted and distinct: the first nonzero step from each row to the next is up
+    step = rows[1:].astype(np.int16) - rows[:-1]
+    assert (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all()
+    assert validate_rows(logic, clo, rows).all()
 
 
 def test_row_cap():
@@ -91,10 +151,11 @@ def test_validate_rows_rejects_codes_past_the_tables(text, row):
     assert not validate_rows(lookup("K"), closure([parse(text)]), rows).any()
 
 
-def test_row_cap_boundary_counts_stable_rows():
-    logic, clo = lookup("K"), closure([parse("[]p -> q")])
+def test_row_cap_boundary_counts_stable_rows(logic_name):
+    logic, clo = lookup(logic_name), closure([parse("[]p -> q")])
     rows = enumerate_rows(logic, clo)
-    assert in_mask(values.STABLE_MASK, rows[:, 0]).any()
+    has_stable = logic.values_mask & values.STABLE_MASK != 0
+    assert in_mask(values.STABLE_MASK, rows[:, 0]).any() == has_stable
     assert np.array_equal(enumerate_rows(logic, clo, row_cap=len(rows)), rows)
     with pytest.raises(RowLimitError) as e:
         enumerate_rows(logic, clo, row_cap=len(rows) - 1)

@@ -8,7 +8,7 @@ import pytest
 import reference as ref
 from modalcube import kripke, values
 from modalcube.cli import random_formula
-from modalcube.decision import _cells, extend_column, filter_model
+from modalcube.decision import _cells, _union_tables, extend_column, filter_model
 from modalcube.formula import (
     Atom, Box, Falsum, Implies, atom_names, closure, instantiate, lnot, parse,
 )
@@ -300,7 +300,7 @@ def test_extend_column_agrees_with_forcing_on_the_extracted_model(logic_name):
                 continue
             ext = extend_column(model, g)
             kind, i, j = ext.closure.structure()[-1]
-            cells = _cells(mat, model.rows, kind, i, j, 0, mat.bot_mask)
+            cells = _cells(mat, model.rows, kind, i, j, *_union_tables(logic))
             for v in np.flatnonzero([bin(c).count("1") > 1 for c in cells]):
                 chosen, w = int(ext.rows[v, -1]), int(v)
                 assert values.member(chosen, "N") == forces(k, w, Box(g)), (text, str(g), w)
