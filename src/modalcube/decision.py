@@ -37,10 +37,21 @@ _NT_MASK = mask_of("T tt")
 
 
 class RowLimitError(RuntimeError):
-    def __init__(self, estimate: int, cap: int):
-        super().__init__(f"row count {estimate} exceeds the cap of {cap}")
+    """Enumeration passed the row cap.
+
+    `estimate` is the row count once `column` of `columns` closure columns
+    are filled.  Later columns never drop the count, so the table has at
+    least that many rows; it is the table's row count when `column` is the
+    last one.
+    """
+
+    def __init__(self, estimate: int, cap: int, column: int, columns: int):
+        super().__init__(f"at least {estimate} rows (counted after column {column} "
+                         f"of {columns}) exceed the cap of {cap}")
         self.estimate = estimate
         self.cap = cap
+        self.column = column
+        self.columns = columns
 
 
 class MissingSubformulaError(ValueError):
@@ -106,7 +117,7 @@ def _expand(rows: np.ndarray, cells: np.ndarray, k: int, row_cap: int) -> np.nda
     bits = np.unpackbits(cells[:, None], axis=1, bitorder="little")
     total = np.count_nonzero(bits)
     if total > row_cap:
-        raise RowLimitError(total, row_cap)
+        raise RowLimitError(total, row_cap, k + 1, rows.shape[1])
     src, v = bits.nonzero()
     out = rows.take(src, axis=0)
     out[:, k] = v

@@ -303,6 +303,9 @@ def print_formula(f: Formula, resugar: bool = False) -> str:
 # Subformula closures
 # ---------------------------------------------------------------------------
 
+_KINDS = {Atom: "atom", Falsum: "bot", Implies: "imp", Box: "box"}
+
+
 @dataclass(frozen=True)
 class Closure:
     """An ordered, subformula-closed sequence of distinct formulas.
@@ -315,16 +318,21 @@ class Closure:
     formulas: tuple[Formula, ...]
 
     def __post_init__(self):
-        index = {}
+        index, structure = {}, []
         for i, f in enumerate(self.formulas):
             if f in index:
                 raise FormulaError(f"duplicate closure member {f}")
+            args = []
             for sub in children(f):
-                if sub not in index:
+                j = index.get(sub)
+                if j is None:
                     raise FormulaError(
                         f"closure member {f} precedes its subformula {print_formula(sub)}")
+                args.append(j)
+            structure.append((_KINDS[type(f)], *(args + [-1, -1])[:2]))
             index[f] = i
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_structure", tuple(structure))
 
     def __len__(self) -> int:
         return len(self.formulas)
@@ -341,23 +349,13 @@ class Closure:
     def atom_positions(self) -> dict[str, int]:
         return {g.name: i for i, g in enumerate(self.formulas) if isinstance(g, Atom)}
 
-    def structure(self) -> list[tuple[str, int, int]]:
+    def structure(self) -> tuple[tuple[str, int, int], ...]:
         """Per position: (kind, arg1, arg2) with positions of the arguments.
 
         kind is one of "atom", "bot", "imp", "box"; unused argument slots
         are -1.
         """
-        out = []
-        for f in self.formulas:
-            if isinstance(f, Atom):
-                out.append(("atom", -1, -1))
-            elif isinstance(f, Falsum):
-                out.append(("bot", -1, -1))
-            elif isinstance(f, Box):
-                out.append(("box", self._index[f.operand], -1))
-            else:
-                out.append(("imp", self._index[f.left], self._index[f.right]))
-        return out
+        return self._structure
 
 
 def closure(roots) -> Closure:

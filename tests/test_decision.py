@@ -9,7 +9,7 @@ import reference as ref
 from modalcube import _accel, values
 from modalcube._accel import compat_matrix, signatures, support_filter_round
 from modalcube.decision import (
-    RowLimitError, MissingSubformulaError, _kernel_inputs, allowed_successors,
+    RowLimitError, MissingSubformulaError, _allowed_masks, _kernel_inputs, allowed_successors,
     build_relation, decide, enumerate_rows, extend_column, filter_model, frame_relation,
     TableModel, filter_rows, level_filter, model_to_csv, model_to_json,
     model_to_json_dict, support_requirements, validate_rows,
@@ -125,8 +125,12 @@ def test_largest_closure_enumerates_sorted_valid_rows():
 
 
 def test_row_cap():
-    with pytest.raises(RowLimitError):
-        enumerate_rows(lookup("K"), closure([parse("[]p -> ([]q -> []r)")]), row_cap=50)
+    clo = closure([parse("[]p -> ([]q -> []r)")])
+    with pytest.raises(RowLimitError) as e:
+        enumerate_rows(lookup("K"), clo, row_cap=50)
+    # raised at the first column past the cap, with a lower bound of the 7136 rows
+    assert (e.value.estimate, e.value.column, e.value.columns) == (224, 3, len(clo))
+    assert str(e.value) == "at least 224 rows (counted after column 3 of 8) exceed the cap of 50"
 
 
 @pytest.mark.parametrize("name", ["K", "KD", "KT", "KB5", "K45"])
@@ -160,6 +164,7 @@ def test_row_cap_boundary_counts_stable_rows(logic_name):
     with pytest.raises(RowLimitError) as e:
         enumerate_rows(logic, clo, row_cap=len(rows) - 1)
     assert e.value.estimate == len(rows)
+    assert e.value.column <= e.value.columns == len(clo)
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +319,15 @@ def _exact_round(arow, bits, alive, preq, pnreq):
     return keep
 
 
-# one logic per family, each closure over 256 rows
+# one logic per family, each closure over 256 rows; K has 16 target classes
+# for 1324 rows, and in KB and KDB nearly every row is a class of its own
 @pytest.mark.parametrize("name,text", [
     ("K", "[]p -> ([]q -> [](p & q))"),
     ("KD4", "([]p & []q) -> [](p | r)"),
     ("KT4", "[](p | q | r) -> s"),
     ("KB5", "([]p & []q & []r & []s) -> t"),
+    ("KB", "[](p -> q) -> ([]p -> []q)"),
+    ("KDB", "[](p -> q) -> ([]p -> []q)"),
 ])
 def test_kernels_match_row_by_row_loop(name, text):
     logic = lookup(name)
@@ -337,6 +345,49 @@ def test_kernels_match_row_by_row_loop(name, text):
     assert np.array_equal(compat_matrix(arow, bits), want)
 
 
+def _before_classes(logic, rows):
+    """How many distinct rows remain once each value is replaced by the mask
+    of values allowed before it: the target classes, computed outside the kernel."""
+    allowed = _allowed_masks(logic)
+    before = np.array([sum(1 << x for x in range(8) if allowed[x] >> y & 1) for y in range(8)],
+                      dtype=np.uint8)
+    return np.unique(before[rows], axis=0).shape[0]
+
+
+# sizes (n, S, T): every row its own signature and class in KDB, against 331
+# signatures and 16 classes for 1324 rows in K
+@pytest.mark.parametrize("name,text,sizes", [
+    ("KDB", "[](p -> q) -> ([]p -> []q)", (480, 480, 480)),
+    ("KB", "[](p -> q) -> ([]p -> []q)", (484, 481, 481)),
+    ("K", "[]p -> ([]q -> [](p & q))", (1324, 331, 16)),
+])
+def test_compatibility_is_stored_per_signature_and_target_class(name, text, sizes):
+    logic = lookup(name)
+    rows = enumerate_rows(logic, closure([parse(text)]))
+    arow, bits, _, _ = _kernel_inputs(logic, rows)
+    sigs = signatures(arow, bits)
+    n, s, t = sizes
+    assert rows.shape[0] == n and np.unique(arow, axis=0).shape[0] == s
+    assert sigs.classes == _before_classes(logic, rows) == t
+    assert sigs.compat.shape == (s, -(-t // 8))
+    want = np.array([((arow[v] & bits) != 0).all(axis=1) for v in range(n)])
+    assert np.array_equal(compat_matrix(arow, bits), want)
+    assert np.array_equal(build_relation(logic, rows), want)
+
+
+def test_largest_closure_keeps_every_row_over_packed_classes():
+    """K on the closure of 194408 rows: every row survives, and compatibility
+    takes a bit per signature and target class, not a bit per signature and row."""
+    logic = lookup("K")
+    rows = enumerate_rows(logic, closure([parse("[][][]p -> <><>(q -> []r)")]))
+    kept, rounds = filter_rows(logic, rows)
+    assert rounds == 0 and np.array_equal(kept, rows) and rows.shape[0] == 194408
+    arow, bits, _, _ = _kernel_inputs(logic, rows)
+    s, t = np.unique(arow, axis=0).shape[0], _before_classes(logic, rows)
+    assert (s, t) == (24301, 512)
+    assert signatures(arow, bits).compat.nbytes <= s * -(-t // 8)
+
+
 def _k_table():
     """K over a 1324-row closure: not a multiple of the 64 rows of a word."""
     logic = lookup("K")
@@ -344,10 +395,7 @@ def _k_table():
     return logic, rows
 
 
-# counts on each side of one and two 64-row words
-@pytest.mark.parametrize("count", [1, 63, 64, 65, 128, 129])
-def test_kernels_at_word_boundaries(count):
-    logic, rows = _k_table()
+def _check_kernels_on_subtable(logic, rows, count):
     arow, bits, preq, pnreq = _kernel_inputs(logic, rows)
     rng = np.random.default_rng(count)
     alive = np.zeros(rows.shape[0], dtype=bool)
@@ -362,6 +410,21 @@ def test_kernels_at_word_boundaries(count):
     assert np.array_equal(got, _exact_round(arow, bits, alive, preq, pnreq))
     want = np.array([((arow[v] & bits) != 0).all(axis=1) for v in range(count)])
     assert np.array_equal(compat_matrix(arow, bits), want)
+
+
+# counts on each side of one and two 64-row words
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 128, 129])
+def test_kernels_at_word_boundaries(count):
+    _check_kernels_on_subtable(*_k_table(), count)
+
+
+# KDB: every row is a class of its own, so these counts of alive rows and of
+# sub-table rows fall on each side of the bytes that pack 8 classes
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 16, 17])
+def test_kernels_at_class_byte_boundaries(count):
+    logic = lookup("KDB")
+    rows = enumerate_rows(logic, closure([parse("[](p -> q) -> ([]p -> []q)")]))
+    _check_kernels_on_subtable(logic, rows, count)
 
 
 def test_kernels_same_under_tiny_chunks(monkeypatch):

@@ -99,6 +99,15 @@ def test_closure_idempotent_and_topological():
             assert clo.position(sub) < i
 
 
+def test_closure_structure_names_argument_positions():
+    clo = closure([parse("<>p")])
+    assert clo.structure() == (
+        ("bot", -1, -1), ("atom", -1, -1), ("imp", 1, 0), ("box", 2, -1), ("imp", 3, 0))
+    assert clo.structure() is clo.structure()   # built once, with the closure
+    ext = clo.extended(Box(clo.formulas[-1]))
+    assert ext.structure() == clo.structure() + (("box", 4, -1),)
+
+
 def test_closure_non_roots_are_proper_subformulas():
     roots = [parse("[]p -> p"), parse("q")]
     clo = closure(roots)
