@@ -389,7 +389,7 @@ def test_largest_closure_keeps_every_row_over_packed_classes():
 
 
 def _k_table():
-    """K over a 1324-row closure: not a multiple of the 64 rows of a word."""
+    """K over a 1324-row closure: 331 signatures and 16 target classes."""
     logic = lookup("K")
     rows = enumerate_rows(logic, closure([parse("[]p -> ([]q -> [](p & q))")]))
     return logic, rows
@@ -412,7 +412,7 @@ def _check_kernels_on_subtable(logic, rows, count):
     assert np.array_equal(compat_matrix(arow, bits), want)
 
 
-# counts on each side of one and two 64-row words
+# alive sets and sub-tables of the K table on each side of 64 and 128 rows
 @pytest.mark.parametrize("count", [1, 63, 64, 65, 128, 129])
 def test_kernels_at_word_boundaries(count):
     _check_kernels_on_subtable(*_k_table(), count)
@@ -432,7 +432,8 @@ def test_kernels_same_under_tiny_chunks(monkeypatch):
     kept, rounds = filter_rows(logic, rows)
     relation = build_relation(logic, kept)
     assert rounds == 1 and kept.shape[0] < rows.shape[0]
-    # four words per temporary: every loop takes one item per chunk
+    # 32 bytes per temporary: one signature and 8 classes per product block,
+    # one output row per chunk of the compatibility matrix
     monkeypatch.setattr(_accel, "_CHUNK_BYTES", 32)
     again, again_rounds = filter_rows(logic, rows)
     assert again_rounds == rounds and np.array_equal(again, kept)
