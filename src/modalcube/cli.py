@@ -270,6 +270,9 @@ def main(argv=None, out=None, err=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    if getattr(ns, "row_cap", 1) < 1:
+        print(f"error: --row-cap must be at least 1, got {ns.row_cap}", file=err)
+        return 2
     try:
         return ns.handler(ns, out)
     except _KNOWN_ERRORS as e:

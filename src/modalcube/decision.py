@@ -270,16 +270,16 @@ def filter_model(logic: Logic, clo: Closure, row_cap: int = ROW_CAP_DEFAULT) -> 
 def frame_relation(model: TableModel) -> np.ndarray:
     """The successors of each row, for extraction and column extension alike.
 
-    Without axiom 5 this is the maximal relation, which in a filtered table
-    already has the logic's frame properties.  With 5 the maximal relation
-    need not be euclidean, and in a euclidean frame the successors of a
-    world form a cluster.  So the rows that may follow themselves split into
+    Without euclidean frames (axiom 5) this is the maximal relation, which
+    in a filtered table already has the logic's frame properties.  With them
+    the maximal relation need not be euclidean, and in a euclidean frame the
+    successors of a world form a cluster.  So the rows that may follow themselves split into
     cliques of mutually admissible rows; a clique whose rows support each
     other relates all of them, and every other row with an obligation points
     into the first such clique that meets it, as far as the row admits.
     """
     maximal = model.relation_matrix()
-    if "5" not in model.logic.frame_props:
+    if "euclidean" not in model.logic.frame_props:
         return maximal
     _, bits, preq, pnreq = _kernel_inputs(model.logic, model.rows)
     looped = maximal.diagonal()

@@ -1,27 +1,27 @@
 """Relational models: extraction from table models, frame checks, forcing,
-and a bounded brute-force decision oracle.  The frame condition of each
-axiom is stated once, in `logics`, and checked here.
+and a bounded brute-force decision oracle.  The frame properties, their
+names and the frames that have them all come from `logics`; this module
+checks them and searches them.
 
 Extraction turns every surviving row into a world (an atom holds where the
 row designates it) and relates the worlds by the table's frame relation,
 the one `decision.frame_relation` that column extension also reads, after
 checking that it has the logic's frame properties.
 The oracle searches relational models up to a world bound, one frame per
-isomorphism class, and reports the first world satisfying the assumptions but
-not the goal: the same one a search over every labelled frame reports.
+isomorphism class (`logics._frame_relations`), and reports the first world
+satisfying the assumptions but not the goal: the same one a search over
+every labelled frame reports.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decision import ClosureImpossibleError, TableModel, _json_with_relation, frame_relation
 from .formula import Atom, Falsum, Formula, Implies, atom_names
-from .logics import _PROP_OF_AXIOM, Logic, _compose, _holds, _missing, _relations
+from .logics import Logic, _check_names, _compose, _frame_relations, _holds, _missing
 from .values import in_mask
 
 _ORACLE_MAX_RELATION_BITS = 16   # relations enumerable per world count
@@ -33,20 +33,14 @@ class OracleBudgetError(RuntimeError):
 
 
 def frame_props(logic: Logic) -> frozenset[str]:
-    return frozenset(_PROP_OF_AXIOM[p] for p in logic.frame_props)
+    """`logic.frame_props`, kept as a function because the benchmark
+    harness and the tests call it."""
+    return logic.frame_props
 
 
 # ---------------------------------------------------------------------------
 # Frame checks, by the conditions `logics` states per axiom
 # ---------------------------------------------------------------------------
-
-def _check_names(props) -> None:
-    """Raise ValueError unless every name in `props` is a frame property."""
-    unknown = sorted(set(props) - set(_PROP_OF_AXIOM.values()))
-    if unknown:
-        raise ValueError(f"unknown frame property {', '.join(map(repr, unknown))}; "
-                         f"known: {', '.join(_PROP_OF_AXIOM.values())}")
-
 
 def check_frame(rel: np.ndarray, props) -> bool:
     _check_names(props)
@@ -178,31 +172,6 @@ class OracleVerdict:
         return f"NO_COUNTERMODEL_UPTO({self.max_worlds})"
 
 
-@functools.cache
-def _orbit_representatives(n: int) -> np.ndarray:
-    """The (n, n) relations that are the least bitmask of their orbit under
-    permutations of the worlds, one per isomorphism class, ascending.  A
-    relation's bitmask is its index in `_relations(n)`."""
-    masks = np.arange(1 << n * n, dtype=np.int64)
-    edge = np.arange(n * n).reshape(n, n)
-    least = np.ones(len(masks), dtype=bool)
-    for perm in itertools.permutations(range(n)):
-        # bit i*n + j of the image is the edge (perm[i], perm[j])
-        image = np.zeros_like(masks)
-        for bit, src in enumerate(edge[np.ix_(perm, perm)].ravel()):
-            image |= (masks >> src & 1) << bit
-        least &= masks <= image
-    return _relations(n)[least]
-
-
-@functools.cache
-def _frame_relations(n: int, props: frozenset[str]) -> np.ndarray:
-    """One (n, n) relation with the properties per isomorphism class, the
-    least by bitmask, ascending."""
-    reps = _orbit_representatives(n)
-    return reps[_holds(reps, props)]
-
-
 def oracle_decide(logic: Logic, assumptions, goal: Formula,
                   max_worlds: int = 3) -> OracleVerdict:
     """Exhaustive search for a world refuting the consequence, by model size.
@@ -219,7 +188,6 @@ def oracle_decide(logic: Logic, assumptions, goal: Formula,
         raise ValueError("max_worlds must be at least 1")
     assumptions = tuple(assumptions)
     atoms = sorted(set().union(*(atom_names(f) for f in assumptions + (goal,))))
-    props = frame_props(logic)
     for n in range(1, max_worlds + 1):
         if n * n > _ORACLE_MAX_RELATION_BITS:
             raise OracleBudgetError(f"{n} worlds: relation space too large")
@@ -235,7 +203,7 @@ def oracle_decide(logic: Logic, assumptions, goal: Formula,
         }
         false = np.zeros((n, nval), dtype=bool)
 
-        rels = _frame_relations(n, props)
+        rels = _frame_relations(n, logic.frame_props)
         chunk = max(1, (1 << 24) // max(1, nval * n))
         for c0 in range(0, rels.shape[0], chunk):
             sub = rels[c0:c0 + chunk]

@@ -1,14 +1,17 @@
 """Registry of the fifteen normal modal logics of the cube.
 
-Each axiom is stated once, by the condition its frames meet.  A logic's
+Each axiom is stated once, by the condition its frames meet, and each
+condition has one name, the property in `_PROP_OF_AXIOM`.  A logic's
 values, the values that may follow each value along an edge and its box
 column are read off the relations on three worlds that meet all of the
-logic's conditions (`frame_tables`).
+logic's conditions (`frame_tables`), one per isomorphism class
+(`_frame_relations`, which the oracle searches too).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,11 +20,23 @@ import numpy as np
 from . import values
 from .formula import Formula, parse
 
-# frame property per axiom that holds in the logic
+# Axiom schemata over the metavariable atoms a and b.  (The atom lexer is
+# lowercase-only, so the conventional uppercase metavariables are written in
+# lowercase.)
+AXIOM_SCHEMAS: dict[str, str] = {
+    "k": "[](a -> b) -> ([]a -> []b)",
+    "d": "[]a -> <>a",
+    "t": "[]a -> a",
+    "b": "a -> []<>a",
+    "4": "[]a -> [][]a",
+    "5": "<>a -> []<>a",
+}
+
+# the frame property of each axiom but k: the only names of frame conditions
 _PROP_OF_AXIOM = {
-    "D": "serial",
-    "T": "reflexive",
-    "B": "symmetric",
+    "d": "serial",
+    "t": "reflexive",
+    "b": "symmetric",
     "4": "transitive",
     "5": "euclidean",
 }
@@ -57,6 +72,14 @@ def _missing(rel: np.ndarray, props) -> np.ndarray:
     return need & ~rel
 
 
+def _check_names(props) -> None:
+    """Raise ValueError unless every name in `props` is a frame property."""
+    unknown = sorted(set(props) - set(_PROP_OF_AXIOM.values()))
+    if unknown:
+        raise ValueError(f"unknown frame property {', '.join(map(repr, unknown))}; "
+                         f"known: {', '.join(_PROP_OF_AXIOM.values())}")
+
+
 def _holds(rel: np.ndarray, props) -> np.ndarray:
     """Whether each relation has every property in `props`."""
     ok = ~_missing(rel, props).any(axis=(-2, -1))
@@ -69,6 +92,31 @@ def _relations(n: int) -> np.ndarray:
     """All (n, n) relations, ascending by bitmask."""
     bits = (np.arange(1 << n * n, dtype=np.int64)[:, None] >> np.arange(n * n)) & 1
     return bits.astype(bool).reshape(len(bits), n, n)
+
+
+@functools.cache
+def _orbit_representatives(n: int) -> np.ndarray:
+    """The (n, n) relations that are the least bitmask of their orbit under
+    permutations of the worlds, one per isomorphism class, ascending.  A
+    relation's bitmask is its index in `_relations(n)`."""
+    masks = np.arange(1 << n * n, dtype=np.int64)
+    edge = np.arange(n * n).reshape(n, n)
+    least = np.ones(len(masks), dtype=bool)
+    for perm in itertools.permutations(range(n)):
+        # bit i*n + j of the image is the edge (perm[i], perm[j])
+        image = np.zeros_like(masks)
+        for bit, src in enumerate(edge[np.ix_(perm, perm)].ravel()):
+            image |= (masks >> src & 1) << bit
+        least &= masks <= image
+    return _relations(n)[least]
+
+
+@functools.cache
+def _frame_relations(n: int, props: frozenset[str]) -> np.ndarray:
+    """One (n, n) relation with the properties per isomorphism class, the
+    least by bitmask, ascending."""
+    reps = _orbit_representatives(n)
+    return reps[_holds(reps, props)]
 
 
 # ---------------------------------------------------------------------------
@@ -89,24 +137,6 @@ def value_at(rel: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return _VALUE_OF[truth * 4 + ~_compose(rel, ~truth) * 2 + ~_compose(rel, truth)]
 
 
-@functools.cache
-def _frames(n: int) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
-    """Per axiom, which relations on n worlds meet its frame condition, and
-    per relation, over every valuation of one atom p: per value x, the values
-    p takes at u over the edges wRu where it takes x at w, and the values []p
-    takes where p takes x, as masks."""
-    rels = _relations(n)
-    meets = {axiom: _holds(rels, {prop}) for axiom, prop in _PROP_OF_AXIOM.items()}
-    p = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1 == 1
-    at = value_at(rels, p)
-    boxed = np.zeros((len(rels), 8, 8), dtype=bool)
-    boxed[np.arange(len(rels))[:, None, None], at, value_at(rels, ~_compose(rels, ~p))] = True
-    follows = np.zeros_like(boxed)
-    r, w, u = np.nonzero(rels)
-    follows[r[:, None], at[r, w], at[r, u]] = True
-    return meets, *(np.packbits(seen, axis=-1, bitorder="little")[..., 0] for seen in (follows, boxed))
-
-
 class FrameTables(NamedTuple):
     values_mask: int          # values p takes at some world
     successors: np.ndarray    # uint8[8]: values p takes after a world where it takes x
@@ -115,18 +145,25 @@ class FrameTables(NamedTuple):
 
 @functools.cache
 def frame_tables(props: frozenset[str], worlds: int = 3) -> FrameTables:
-    """The tables of the relations on `worlds` worlds that meet the frame
-    condition of every axiom in `props` (upper-case labels, as in
-    `Logic.frame_props`).  Three worlds give the tables exactly; two do not.
-    Every world gives []p a value, so p takes the values with a box cell.
+    """The tables of the relations on `worlds` worlds with every frame
+    property in `props`, over every valuation of one atom p.  One relation
+    per isomorphism class is enough: the tables collect values over all
+    worlds and edges, which a permutation of the worlds only relabels.
+    Three worlds give the tables exactly; two do not.  Every world gives
+    []p a value, so p takes the values with a box cell.
     """
-    meets, follows, boxed = _frames(worlds)
-    held = np.ones(len(boxed), dtype=bool)
-    for axiom in props:
-        held &= meets[axiom]
-    box = np.bitwise_or.reduce(boxed[held])
+    _check_names(props)
+    rels = _frame_relations(worlds, props)
+    p = (np.arange(1 << worlds) >> np.arange(worlds)[:, None]) & 1 == 1
+    at = value_at(rels, p)
+    boxed = np.zeros((8, 8), dtype=bool)
+    boxed[at, value_at(rels, ~_compose(rels, ~p))] = True
+    follows = np.zeros_like(boxed)
+    r, w, u = np.nonzero(rels)
+    follows[at[r, w], at[r, u]] = True
+    box = np.packbits(boxed, axis=-1, bitorder="little")[:, 0]
     return FrameTables(int(np.packbits(box != 0, bitorder="little")[0]),
-                       np.bitwise_or.reduce(follows[held]), box)
+                       np.packbits(follows, axis=-1, bitorder="little")[:, 0], box)
 
 
 class LogicError(ValueError):
@@ -137,7 +174,7 @@ class LogicError(ValueError):
 class Logic:
     name: str
     axiom_labels: tuple[str, ...]   # always starts with "k"
-    frame_props: frozenset[str]     # closed under derivability, subset of D T B 4 5
+    frame_props: frozenset[str]     # property names, closed under derivability
     values_mask: int
     designated_mask: int
     nondesignated_mask: int
@@ -148,11 +185,12 @@ class Logic:
 
 def _logic(name: str, axioms: str) -> Logic:
     """A logic from its axiom labels alone: each label but k names a frame
-    property, T also gives D, and the values are those its frames give."""
+    property, reflexive frames are serial, and the values are those its
+    frames give."""
     labels = tuple(axioms.split())
-    props = {label.upper() for label in labels if label != "k"}
-    if "T" in props:
-        props.add("D")
+    props = {_PROP_OF_AXIOM[label] for label in labels if label != "k"}
+    if "reflexive" in props:
+        props.add("serial")
     mask = frame_tables(frozenset(props)).values_mask
     return Logic(name, labels, frozenset(props), mask,
                  mask & values.D_MASK, mask & values.DC_MASK)
@@ -210,18 +248,6 @@ def lookup(name: str) -> Logic:
 def all_logics() -> tuple[Logic, ...]:
     return tuple(_REGISTRY.values())
 
-
-# Axiom schemata over the metavariable atoms a and b.  (The atom lexer is
-# lowercase-only, so the conventional uppercase metavariables are written in
-# lowercase.)
-AXIOM_SCHEMAS: dict[str, str] = {
-    "k": "[](a -> b) -> ([]a -> []b)",
-    "d": "[]a -> <>a",
-    "t": "[]a -> a",
-    "b": "a -> []<>a",
-    "4": "[]a -> [][]a",
-    "5": "<>a -> []<>a",
-}
 
 _PARSED_SCHEMAS = {label: parse(text) for label, text in AXIOM_SCHEMAS.items()}
 

@@ -28,7 +28,8 @@ from conftest import ALL_LOGIC_NAMES
 
 P, Q = parse("p"), parse("q")
 
-_AXIOM_PROP = {"d": "D", "t": "T", "b": "B", "4": "4", "5": "5"}
+_AXIOM_PROP = {"d": "serial", "t": "reflexive", "b": "symmetric", "4": "transitive",
+               "5": "euclidean"}
 
 
 @contextmanager
@@ -75,11 +76,11 @@ def test_c2_separation_matrix():
                 assert not ref.forced(cm.relation, cm.valuation, inst)[oracle.world]
                 checked += 1
         # the documented sample of the matrix
-        t_lacking = {l.name for l in all_logics() if "T" not in l.frame_props}
+        t_lacking = {l.name for l in all_logics() if "reflexive" not in l.frame_props}
         assert {"K", "KD", "K4", "K45", "KB", "KB5", "KD45"} <= t_lacking
-        four_lacking = {l.name for l in all_logics() if "4" not in l.frame_props}
+        four_lacking = {l.name for l in all_logics() if "transitive" not in l.frame_props}
         assert {"KT", "KTB"} <= four_lacking
-        assert "KT4" in {l.name for l in all_logics() if "B" not in l.frame_props}
+        assert "KT4" in {l.name for l in all_logics() if "symmetric" not in l.frame_props}
         assert checked == 44
         assert time.time() - start < 300.0
 

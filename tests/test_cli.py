@@ -66,6 +66,21 @@ def test_row_cap_exit_two():
     assert "cap" in err
 
 
+@pytest.mark.parametrize("command", ["decide", "table", "model", "xcheck"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_row_cap_below_one_exit_two(command, cap):
+    code, out, err = run([command, "--row-cap", cap, *_OPERANDS[command]])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --row-cap must be at least 1, got {cap}\n"
+
+
+def test_row_cap_of_one_is_accepted():
+    # in KT falsum takes only F, and bot -> bot only T: one row
+    code, out, _ = run(["decide", "--logic", "KT", "--row-cap", "1", "bot -> bot"])
+    assert code == 0 and out.strip() == "VALID"
+
+
 def test_table_csv():
     code, out, _ = run(["table", "--logic", "KT", "p -> p"])
     assert code == 0

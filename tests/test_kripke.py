@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import permutations, product
@@ -11,13 +12,17 @@ from modalcube.cli import random_formula
 from modalcube.decision import _cells, _union_tables, extend_column, filter_model
 from modalcube.formula import (
     Atom, Box, Falsum, Implies, atom_names, closure, instantiate, lnot, parse,
+    print_formula,
 )
 from modalcube.kripke import (
     ClosureImpossibleError, KripkeModel, OracleBudgetError, check_frame,
     forces, frame_closure, frame_props, kripke_to_json, kripke_to_json_dict,
     oracle_decide, to_dot, to_kripke,
 )
-from modalcube.logics import LOGIC_NAMES, _holds, _relations, all_logics, axioms, lookup
+from modalcube.logics import (
+    AXIOM_SCHEMAS, LOGIC_NAMES, _frame_relations, _holds, _relations, all_logics, axioms,
+    lookup,
+)
 from modalcube.nmatrix import nmatrix
 
 p, q = Atom("p"), Atom("q")
@@ -93,7 +98,7 @@ def test_frame_properties_match_first_order_definitions(n):
                 (n, mask, sorted(props))
             if want and least[mask]:
                 agree.append(r)
-        got = kripke._frame_relations(n, props)
+        got = _frame_relations(n, props)
         assert got.shape == (len(agree), n, n) and got.tolist() == agree, sorted(props)
 
 
@@ -108,7 +113,7 @@ def test_frame_properties_match_first_order_definitions(n):
     (("reflexive", "symmetric", "transitive"), 5),           # partitions of 4
 ])
 def test_four_world_frames_count_isomorphism_classes(props, count):
-    assert len(kripke._frame_relations(4, frozenset(props))) == count
+    assert len(_frame_relations(4, frozenset(props))) == count
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +455,41 @@ def test_oracle_enumerated_frames_validate_axioms(logic_name):
         inst = instantiate(schema, {"a": p, "b": q})
         verdict = oracle_decide(logic, [], inst, 2)
         assert not verdict.found, label
+
+
+# sha256 of the oracle's answers on ORACLE_CASES, serialized as in
+# test_oracle_answers_are_pinned, computed at commit ba083a4, where kripke
+# enumerated the oracle's frames itself: 125 cases, 60 countermodels
+ORACLE_DIGEST = "456c7ef1f67ee34725832af669d7b1caa0ca374d9387aab697827e8c0e7a9937"
+
+_THREE_WORLD_GOALS = (
+    [instantiate(parse(schema), {"a": p, "b": q}) for schema in AXIOM_SCHEMAS.values()]
+    + [parse("<>[]p -> []<>p"), parse("[](p -> []p) -> (p -> []p)")]
+)
+ORACLE_CASES = (
+    [(name, [], goal, 3) for name in LOGIC_NAMES for goal in _THREE_WORLD_GOALS]
+    + [("K4", [parse("[]p")], parse("[][][]p"), 3),
+       ("KB", [p], parse("[]<>p"), 3),
+       ("K", [], parse("[](p -> q) -> ([]p -> []q)"), 4),
+       ("KD45", [], parse("[](p -> q) -> ([]p -> []q)"), 4),
+       ("K5", [], parse("<>[]p -> []<>p"), 4)]
+)
+
+
+def test_oracle_answers_are_pinned():
+    answers = []
+    for name, assumptions, goal, worlds in ORACLE_CASES:
+        verdict = oracle_decide(lookup(name), assumptions, goal, worlds)
+        cm = verdict.countermodel
+        answers.append([name, [print_formula(a) for a in assumptions], print_formula(goal),
+                        worlds, verdict.world,
+                        None if cm is None else np.argwhere(cm.relation).tolist(),
+                        None if cm is None else {a: cm.valuation[a].tolist()
+                                                 for a in sorted(cm.valuation)}])
+    assert len(answers) == 125
+    assert sum(answer[5] is not None for answer in answers) == 60
+    digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+    assert digest == ORACLE_DIGEST
 
 
 # ---------------------------------------------------------------------------

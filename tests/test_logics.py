@@ -8,19 +8,23 @@ from modalcube.values import names_in
 from conftest import ALL_LOGIC_NAMES
 from reference import FRAME_PROPS, logic_values
 
+# the property each letter of the transcription in tests/data names
+PROPERTY_OF_LETTER = {"D": "serial", "T": "reflexive", "B": "symmetric",
+                      "4": "transitive", "5": "euclidean"}
+
 
 def test_registry_is_the_fifteen_cube_logics():
     assert tuple(l.name for l in all_logics()) == ALL_LOGIC_NAMES
 
 
 @pytest.mark.parametrize("alias,target,props", [
-    ("S4", "KT4", {"T", "D", "4"}),
-    ("S5", "KT45", {"T", "D", "B", "4", "5"}),
-    ("D", "KD", {"D"}),
-    ("T", "KT", {"T", "D"}),
-    ("B", "KTB", {"T", "D", "B"}),
-    ("KB45", "KB5", {"B", "4", "5"}),
-    ("D45", "KD45", {"D", "4", "5"}),
+    ("S4", "KT4", {"reflexive", "serial", "transitive"}),
+    ("S5", "KT45", {"reflexive", "serial", "symmetric", "transitive", "euclidean"}),
+    ("D", "KD", {"serial"}),
+    ("T", "KT", {"reflexive", "serial"}),
+    ("B", "KTB", {"reflexive", "serial", "symmetric"}),
+    ("KB45", "KB5", {"symmetric", "transitive", "euclidean"}),
+    ("D45", "KD45", {"serial", "transitive", "euclidean"}),
 ])
 def test_aliases(alias, target, props):
     logic = lookup(alias)
@@ -44,7 +48,8 @@ def test_families():
     # are those its family has in the independent transcription
     for logic in all_logics():
         assert frozenset(names_in(logic.values_mask)) == logic_values(logic.name), logic.name
-        assert logic.frame_props == FRAME_PROPS[logic.name], logic.name
+        want = {PROPERTY_OF_LETTER[letter] for letter in FRAME_PROPS[logic.name]}
+        assert logic.frame_props == want, logic.name
 
 
 def test_value_sets_per_family():
@@ -86,7 +91,7 @@ def test_every_axiom_label_has_matching_frame_prop(logic_name):
     for label in logic.axiom_labels:
         if label == "k":
             continue
-        assert label.upper() in logic.frame_props
+        assert PROPERTY_OF_LETTER[label.upper()] in logic.frame_props
 
 
 def test_three_worlds_give_the_frame_tables_exactly():
@@ -103,3 +108,9 @@ def test_three_worlds_give_the_frame_tables_exactly():
         if (two.successors != three.successors).any() or (two.box != three.box).any():
             too_few.append(logic.name)
     assert too_few
+
+
+@pytest.mark.parametrize("props", [{"D"}, {"serial", "4"}, {"Serial"}])
+def test_frame_tables_reject_unknown_property_names(props):
+    with pytest.raises(ValueError, match="unknown frame property"):
+        frame_tables(frozenset(props))
