@@ -276,7 +276,8 @@ def frame_relation(model: TableModel) -> np.ndarray:
     successors of a world form a cluster.  So the rows that may follow themselves split into
     cliques of mutually admissible rows; a clique whose rows support each
     other relates all of them, and every other row with an obligation points
-    into the first such clique that meets it, as far as the row admits.
+    into the first such clique that meets it, as far as the row admits.  The
+    cliques are tried in turn, each against all rows still left at once.
     """
     maximal = model.relation_matrix()
     if "euclidean" not in model.logic.frame_props:
@@ -294,14 +295,20 @@ def frame_relation(model: TableModel) -> np.ndarray:
         if supported(np.bitwise_or.reduce(bits[mem]), preq[mem], pnreq[mem]).all():
             rel[np.ix_(mem, mem)] = True
             cliques.append(mem)
-    for v in np.flatnonzero(~rel.any(axis=1) & (preq | pnreq).any(axis=1)):
-        for mem in cliques:
-            sub = mem[maximal[v, mem]]
-            if sub.size and supported(np.bitwise_or.reduce(bits[sub]), preq[v], pnreq[v]):
-                rel[v, sub] = True
-                break
-        else:
-            raise ClosureImpossibleError(f"row {v} has no euclidean support clique")
+    left = np.flatnonzero(~rel.any(axis=1) & (preq | pnreq).any(axis=1))
+    for mem in cliques:
+        if not left.size:
+            break
+        # every row left at once: the values its admissible clique rows take
+        # (the product sums 0/1 terms, so `> 0` is exact, as in `_accel`)
+        sub = maximal[np.ix_(left, mem)]
+        onehot = np.unpackbits(bits[mem], axis=1, bitorder="little").astype(np.float32)
+        avail = np.packbits(sub.astype(np.float32) @ onehot > 0, axis=1, bitorder="little")
+        ok = supported(avail, preq[left], pnreq[left])
+        rel[np.ix_(left[ok], mem)] = sub[ok]
+        left = left[~ok]
+    if left.size:
+        raise ClosureImpossibleError(f"row {left[0]} has no euclidean support clique")
     return rel
 
 
@@ -435,42 +442,67 @@ def extend_column(model: TableModel, f: Formula) -> TableModel:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _json_with_relation(payload: dict, rel: np.ndarray) -> str:
-    """`json.dumps(payload, indent=2)` where the top-level `"relation"`,
-    None in `payload`, is the edge list of the bool matrix `rel`.
+def _json_spliced(payload: dict, lists: dict[str, list[str]]) -> str:
+    """`json.dumps(payload, indent=2)` where each top-level key of `lists`,
+    None in `payload`, holds a list with the given item texts.
 
-    The list text is written straight from the matrix, one join per source
-    row over per-target strings, instead of through the pure-Python indent
-    encoder.  It replaces the `"relation": null` that json prints: no string
-    value can contain that literal, because json escapes its quotes.
+    The item texts are written straight from arrays instead of through the
+    pure-Python indent encoder.  They replace the `"key": null` that json
+    prints, in payload order, by splitting the short text json prints and
+    joining it with the items once: no string value can contain that
+    literal, because json escapes its quotes.
     """
+    parts, rest = [], json.dumps(payload, indent=2)
+    for key, items in lists.items():
+        before, rest = rest.split(f'"{key}": null', 1)
+        if items:
+            parts += [before, f'"{key}": [\n', ",\n".join(items), "\n  ]"]
+        else:
+            parts += [before, f'"{key}": []']
+    parts.append(rest)
+    return "".join(parts)
+
+
+def _edge_items(rel: np.ndarray) -> list[str]:
+    """The indent=2 texts of the edges of the bool matrix `rel`, one string
+    per source row, joined over per-target strings."""
     targets = np.array([f"{j}\n    ]" for j in range(rel.shape[1])], dtype=object)
-    sources = []
+    items = []
     for i in np.flatnonzero(rel.any(axis=1)):
         head = f"    [\n      {i},\n      "
-        sources.append(head + (",\n" + head).join(targets.compress(rel[i]).tolist()))
-    before, after = json.dumps(payload, indent=2).split('"relation": null', 1)
-    if not sources:
-        return before + '"relation": []' + after
-    return "".join([before, '"relation": [\n', ",\n".join(sources), "\n  ]", after])
+        items.append(head + (",\n" + head).join(targets.compress(rel[i]).tolist()))
+    return items
 
 
-def _model_payload(model: TableModel, relation) -> dict:
+_CELLS = [f"      {json.dumps(name)}" for name in values.VALUE_NAMES]
+
+
+def _row_items(rows: np.ndarray) -> list[str]:
+    """The indent=2 texts of the value names of `rows`, one string per row,
+    joined over per-value strings (a closure is never empty, so no row is)."""
+    return ["    [\n" + ",\n".join(map(_CELLS.__getitem__, row)) + "\n    ]"
+            for row in rows.tolist()]
+
+
+def _model_payload(model: TableModel, rows, relation) -> dict:
     return {
         "logic": model.logic.name,
         "closure": [print_formula(f, resugar=True) for f in model.closure.formulas],
-        "rows": [[values.VALUE_NAMES[v] for v in row] for row in model.rows],
+        "rows": rows,
         "relation": relation,
     }
 
 
 def model_to_json_dict(model: TableModel) -> dict:
-    return _model_payload(model, model.relation_pairs())
+    rows = [[values.VALUE_NAMES[v] for v in row] for row in model.rows]
+    return _model_payload(model, rows, model.relation_pairs())
 
 
 def model_to_json(model: TableModel) -> str:
     """`json.dumps(model_to_json_dict(model), indent=2)`, byte for byte."""
-    return _json_with_relation(_model_payload(model, None), model.relation_matrix())
+    return _json_spliced(_model_payload(model, None, None),
+                         {"rows": _row_items(model.rows),
+                          "relation": _edge_items(model.relation_matrix())})
 
 
 def model_to_csv(model: TableModel) -> str:

@@ -19,12 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decision import ClosureImpossibleError, TableModel, _json_with_relation, frame_relation
+from .decision import (
+    ClosureImpossibleError, TableModel, _edge_items, _json_spliced, frame_relation,
+)
 from .formula import Atom, Falsum, Formula, Implies, atom_names
-from .logics import Logic, _check_names, _compose, _frame_relations, _holds, _missing
+from .logics import (
+    _MAX_RELATION_BITS, Logic, _check_names, _compose, _frame_relations, _holds, _missing,
+)
 from .values import in_mask
 
-_ORACLE_MAX_RELATION_BITS = 16   # relations enumerable per world count
 _ORACLE_MAX_MODELS = 1 << 26
 
 
@@ -189,7 +192,7 @@ def oracle_decide(logic: Logic, assumptions, goal: Formula,
     assumptions = tuple(assumptions)
     atoms = sorted(set().union(*(atom_names(f) for f in assumptions + (goal,))))
     for n in range(1, max_worlds + 1):
-        if n * n > _ORACLE_MAX_RELATION_BITS:
+        if n * n > _MAX_RELATION_BITS:
             raise OracleBudgetError(f"{n} worlds: relation space too large")
         # counts every labelled relation, though one per class is searched
         if (1 << (n * n)) * (1 << (len(atoms) * n)) > _ORACLE_MAX_MODELS:
@@ -239,7 +242,7 @@ def kripke_to_json_dict(k: KripkeModel) -> dict:
 
 def kripke_to_json(k: KripkeModel) -> str:
     """`json.dumps(kripke_to_json_dict(k), indent=2)`, byte for byte."""
-    return _json_with_relation(_kripke_payload(k, None), k.relation)
+    return _json_spliced(_kripke_payload(k, None), {"relation": _edge_items(k.relation)})
 
 
 def to_dot(k: KripkeModel) -> str:

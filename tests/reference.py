@@ -35,6 +35,13 @@ FAMILY_VALUES = {fam: frozenset(vs) for fam, vs in _DATA["family_values"].items(
 FRAME_PROPS = {name: frozenset(ps) for name, ps in _DATA["frame_props"].items()}
 
 
+def all_relations(n: int) -> np.ndarray:
+    """Every (n, n) relation, ascending by bitmask (bit i*n + j is the edge
+    (i, j))."""
+    masks = np.arange(1 << n * n)
+    return (masks[:, None] >> np.arange(n * n) & 1 == 1).reshape(len(masks), n, n)
+
+
 def logic_values(name: str) -> frozenset[str]:
     return FAMILY_VALUES[FAMILY_OF[name]]
 

@@ -639,6 +639,24 @@ def test_extend_preserves_relation_outside_the_pairwise_gap(logic_name):
         assert (old & ~new).sum() == (loss if euclidean_only else 0), text
 
 
+# sha256 of the frame relations of the euclidean logics, computed at commit
+# 5f2123b, where each row outside a supporting clique tried the cliques in a
+# Python loop of its own
+EUCLIDEAN_FRAME_DIGEST = "a804a7c6020cf5cb1481e027fb25edef54f09c4476d3dbb7ac3c59cfa9436ebc"
+
+
+def test_euclidean_frame_relations_are_pinned():
+    digest = hashlib.sha256()
+    for logic in ("K5", "KD5", "K45", "KD45", "KB5", "KT45"):
+        for text in ("p", "[]p", "<>p", "[]p -> p", "[](p -> q)", "<>[]p -> []<>p",
+                     "[](p -> q) -> ([]p -> []q)", "([]p & []q) -> [](p | r)",
+                     "[][]p -> <>(q -> []r)", "[][][]p -> <><>(q -> []r)"):
+            model = filter_model(lookup(logic), closure([parse(text)]))
+            digest.update(f"{logic}|{text}|{model.row_count}|".encode()
+                          + np.packbits(frame_relation(model)).tobytes())
+    assert digest.hexdigest() == EUCLIDEAN_FRAME_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from modalcube.kripke import (
     oracle_decide, to_dot, to_kripke,
 )
 from modalcube.logics import (
-    AXIOM_SCHEMAS, LOGIC_NAMES, _frame_relations, _holds, _relations, all_logics, axioms,
-    lookup,
+    AXIOM_SCHEMAS, LOGIC_NAMES, _frame_relations, _holds, _orbit_representatives,
+    all_logics, axioms, lookup,
 )
 from modalcube.nmatrix import nmatrix
 
@@ -114,6 +114,30 @@ def test_frame_properties_match_first_order_definitions(n):
 ])
 def test_four_world_frames_count_isomorphism_classes(props, count):
     assert len(_frame_relations(4, frozenset(props))) == count
+
+
+def _masks(rels):
+    """Each (n, n) relation as its bitmask, bit i*n + j for the edge (i, j)."""
+    return [sum(1 << int(b) for b in np.flatnonzero(r.ravel())) for r in rels]
+
+
+# sha256 of json.dumps of the lists below, computed at commit 5f2123b, where
+# every relation was built before the orbit filter and each logic's frames
+# were tested with `_holds` on all representatives
+ORBIT_DIGEST = "5a6aa1188c4cc06c3883385e01ffd69fb2d412ed3491fbb6d662abfebc67e635"
+FRAMES_DIGEST = "843e4bb6dd62b07a5eb837910a7e9c19e15f1f7bcbce70d0df916d0c65f66509"
+
+
+def test_orbit_representatives_are_pinned():
+    table = [[n, _masks(_orbit_representatives(n))] for n in range(5)]
+    assert table[0] == [0, [0]]   # no worlds: one empty relation
+    assert hashlib.sha256(json.dumps(table).encode()).hexdigest() == ORBIT_DIGEST
+
+
+def test_frame_relations_are_pinned():
+    frames = [[name, n, _masks(_frame_relations(n, lookup(name).frame_props))]
+              for name in LOGIC_NAMES for n in range(1, 5)]
+    assert hashlib.sha256(json.dumps(frames).encode()).hexdigest() == FRAMES_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +430,7 @@ def _search_every_frame(logic, assumptions, goal, max_worlds):
     every labelled relation with the logic's frame properties."""
     atoms = sorted(set().union(*(atom_names(f) for f in [*assumptions, goal])))
     for n in range(1, max_worlds + 1):
-        rels = _relations(n)
+        rels = ref.all_relations(n)
         rels = rels[_holds(rels, frame_props(logic))]
         vmasks = np.arange(1 << len(atoms) * n)
         vals = {name: (vmasks >> (k * n + np.arange(n))[:, None]) & 1 == 1

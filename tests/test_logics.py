@@ -114,3 +114,9 @@ def test_three_worlds_give_the_frame_tables_exactly():
 def test_frame_tables_reject_unknown_property_names(props):
     with pytest.raises(ValueError, match="unknown frame property"):
         frame_tables(frozenset(props))
+
+
+def test_frame_tables_refuse_five_worlds():
+    # 2**25 relations on five worlds: refused before any is built
+    with pytest.raises(ValueError, match="25 relation bits exceed the bound of 16"):
+        frame_tables(frozenset(), worlds=5)

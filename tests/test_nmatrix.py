@@ -4,7 +4,7 @@ import pytest
 import reference as ref
 from modalcube import values
 from modalcube.kripke import frame_props
-from modalcube.logics import _holds, _relations, lookup, value_at
+from modalcube.logics import _holds, lookup, value_at
 from modalcube.nmatrix import ValueNotInLogicError, nmatrix
 from modalcube.values import mask_of, names_in, value_id
 
@@ -92,7 +92,7 @@ def test_imp_table_agrees_with_three_world_frames(logic_name):
     logic's 3-world frames and every valuation of p and q; no frame realizes
     a cell that mixes the two kinds."""
     logic = lookup(logic_name)
-    rels = _relations(3)
+    rels = ref.all_relations(3)
     rels = rels[_holds(rels, frame_props(logic))]
     vals = np.arange(64)
     p = (vals >> np.arange(3)[:, None]) & 1 == 1
