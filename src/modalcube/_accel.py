@@ -8,25 +8,31 @@ as the table's signatures tell them apart).  Both are often far fewer than
 rows: K on 194408 rows has 24301 signatures and 512 classes, K on 7928 rows
 991 and 48.  Only in KB and KDB is nearly every row a signature and a class
 of its own.  So compatibility is a relation between S signatures and T
-classes (`Signatures`), packed to S * ceil(T / 8) bytes.  With P the
-unpacked signature masks and Q the one-hot values of one row per class,
-`compat[s, t]` is `(P @ Q.T)[s, t] == m` for m positions.
+classes (`Signatures`), one bitset of ceil(T / 64) words per signature.
+`signatures` builds, per position and per distinct successor mask, the
+bitset of classes whose value there lies in the mask; a signature's row of
+`compat` is the AND of its m bitsets, S * m * ceil(T / 64) word ANDs.
 
-A support-filter round marks `held[t, 8i + v]`, whether some alive row of
-class t takes value v at position i, with one scatter.  A signature's
-available values are `compat @ held > 0`, S * T * 8m multiply-adds; each row
-then checks its obligations against its signature's.  Both products run in
-blocks of signatures and classes whose float32 operands and results each fit
-`_CHUNK_BYTES`, so a block stays in cache whether T is 16 or n.  The
-compatibility matrix reads `compat[sig(v), class(w)]`, through an S x n table
-no larger than its n x n result.
+A support-filter round packs 2m bitsets over classes: per position, the
+classes where some alive row holds a designated value, and those where one
+holds an undesignated value.  A signature has a designated (undesignated)
+witness at a position exactly when its `compat` row ANDed with that bitset
+is nonzero.  Each row carries its obligations as bits too, `need` from
+`obligations(preq, pnreq)`: the positions whose "possible" half asks for a
+designated witness, then those whose "possibly false" half asks for an
+undesignated one.  A row survives when its signature meets every bit of
+its `need`.  The compatibility matrix reads `compat[sig(v), class(w)]`,
+through an S x n table no larger than its n x n result.  Bitsets are packed
+bytes viewed as uint64 words, so every test is a word AND and nothing is
+counted that could overflow.
 
-Both products are exact, and nothing is counted that could overflow.  An
-entry of `P @ Q.T` sums m terms that are each 0 or 1, so every partial sum is
-an integer of at most m, exact in float32 while m < 2**24, and `== m`
-compares exactly.  An entry of `compat @ held` sums terms that are each 0 or
-1 too; adding a non-negative float never makes a sum smaller, so the sum is
-positive exactly when some term is 1, however it rounds, and `> 0` is exact.
+Why this is exact.  `preq[v, i]`, where nonzero, is the allowed mask
+`arow[v, i]` ANDed with the designated values, and `pnreq[v, i]` the same
+with the undesignated ones.  A compatible successor's value at i always
+lies in `arow[v, i]`.  So a compatible alive row's value hits `preq[v, i]`
+exactly when it is designated, and hits `pnreq[v, i]` exactly when it is
+not: the designated and undesignated bitsets answer the same question as
+the masks, row for row, with no arithmetic.
 
 Kernel inputs are plain arrays derived from a row table:
 
@@ -39,7 +45,6 @@ Kernel inputs are plain arrays derived from a row table:
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -47,10 +52,32 @@ import numpy as np
 # perfbench/worker.py reads these to report the kernel; only the numpy one exists.
 HAVE_NUMBA = USING_NUMBA = False
 
+# Largest array the kernels build: the S x ceil(T / 64) words of `compat`, or
+# the n x n bool relation.  Past it a decision fails early with WorkLimitError.
+WORK_LIMIT_BYTES = 1 << 30
+
 _CHUNK_BYTES = 1 << 18   # per temporary: 1 MB raised cube-queries' peak RSS by 1.5 MB
 _VALUES = np.arange(8, dtype=np.uint8)
 _VALUE_OF = np.zeros(256, dtype=np.intp)   # the value v of the one-hot byte 1 << v
 _VALUE_OF[1 << _VALUES] = _VALUES
+
+
+class WorkLimitError(RuntimeError):
+    """An array the decision needs would pass WORK_LIMIT_BYTES.
+
+    Raised before the array is allocated; `estimate` is its size in bytes.
+    """
+
+    def __init__(self, what: str, estimate: int, limit: int):
+        super().__init__(f"{what} needs {estimate} bytes, over the work limit "
+                         f"of {limit} bytes")
+        self.estimate = estimate
+        self.limit = limit
+
+
+def _check_work(what: str, estimate: int) -> None:
+    if estimate > WORK_LIMIT_BYTES:
+        raise WorkLimitError(what, estimate, WORK_LIMIT_BYTES)
 
 
 def _chunks(n: int, item_bytes: int):
@@ -60,101 +87,126 @@ def _chunks(n: int, item_bytes: int):
         yield slice(c0, min(n, c0 + step))
 
 
-def _block_sizes(classes: int, width: int) -> tuple[int, int]:
-    """Signatures and classes per block of a float32 product whose operands
-    are `width` wide: each operand and the product stay within _CHUNK_BYTES,
-    and a block of classes spans whole bytes of the packed relation."""
-    cells = max(1, _CHUNK_BYTES // 4)
-    per_block = min(-(-classes // 8) * 8, max(8, math.isqrt(cells) // 8 * 8))
-    return max(1, cells // max(per_block, width)), per_block
+def _words(flags: np.ndarray) -> np.ndarray:
+    """uint64[k, w / 64]: each row of the bool array `flags`, w wide with w a
+    multiple of 64, packed with flag j at bit j of the packed bytes."""
+    return np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
 
 
-def _distinct_rows(a: np.ndarray):
-    """The distinct rows of a 2-d uint8 array, and each row's index among them."""
+def _padded(rows: int, count: int) -> np.ndarray:
+    """A false bool array of `rows` rows, `count` columns padded to whole words."""
+    return np.zeros((rows, -(-count // 64) * 64), dtype=bool)
+
+
+def _groups(a: np.ndarray):
+    """Rows of a 2-d uint8 array grouped by content: one row per group, and
+    each row's group.  A table of at most 64 rows fits one word of classes
+    either way, so there each row is a group of its own and nothing is sorted."""
     n, k = a.shape
+    if n <= 64:
+        return a, np.arange(n)
     keyed = np.ascontiguousarray(a).view(f"V{k}").reshape(n)
     distinct, inverse = np.unique(keyed, return_inverse=True)
     return distinct.view(np.uint8).reshape(-1, k), inverse.reshape(n)
 
 
+def obligations(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """uint64[n, ceil(2m / 64)]: bit i says `lo[:, i] != 0`, bit m + i says
+    `hi[:, i] != 0`.  `obligations(preq, pnreq)` is each row's `need`."""
+    n, m = lo.shape
+    out = np.empty((n, -(-2 * m // 64)), dtype=np.uint64)
+    for c in _chunks(n, 64 * out.shape[1]):
+        flags = _padded(c.stop - c.start, 2 * m)
+        np.not_equal(lo[c], 0, out=flags[:, :m])
+        np.not_equal(hi[c], 0, out=flags[:, m:2 * m])
+        out[c] = _words(flags)
+    return out
+
+
 class Signatures(NamedTuple):
-    compat: np.ndarray   # uint8[S, ceil(T / 8)]: bit t % 8 of byte t // 8 says class t may follow s
+    compat: np.ndarray   # uint64[S, ceil(T / 64)]: bit t says class t may follow s
     inverse: np.ndarray  # intp[n]: the signature of each row
-    target: np.ndarray   # intp[n]: the target class of each row
-    slots: np.ndarray    # intp[n, m]: (m * target + i) * 8 + value, the row's cell of `held`
+    slots: np.ndarray    # int32[n, m]: per position, the row's (half, class) bit in a round
     classes: int         # T
 
 
-def signatures(arow: np.ndarray, bits: np.ndarray) -> Signatures:
-    """Signatures, target classes and their packed compatibility relation."""
+def _compatibility(arow: np.ndarray, bits: np.ndarray):
+    """compat, each row's signature, each row's target class, and T."""
     n, m = arow.shape
-    sig, inverse = _distinct_rows(arow)
+    sig, inverse = _groups(arow)
     # the target key: per position, which distinct successor masks hold the
     # row's value (np.unique of a plain array would import numpy.ma, 10 ms)
-    values = _VALUE_OF[bits]
     masks = np.flatnonzero(np.bincount(sig.reshape(-1), minlength=256))
     holds = np.packbits(masks >> _VALUES[:, None] & 1, axis=1)
-    key, target = _distinct_rows(holds[values].reshape(n, -1))
-    classes = key.shape[0]
-    rep = np.empty(classes, dtype=np.intp)   # any row of each class
-    rep[target] = np.arange(n)
-    compat = np.empty((sig.shape[0], -(-classes // 8)), dtype=np.uint8)
-    per_sig, per_class = _block_sizes(classes, 8 * m)
-    for t0 in range(0, classes, per_class):
-        t1 = min(classes, t0 + per_class)
-        # q[8i + v, t]: class t takes value v at position i (Q transposed)
-        q = np.unpackbits(bits[rep[t0:t1]].T, axis=0, bitorder="little").astype(np.float32)
-        for s0 in range(0, sig.shape[0], per_sig):
-            # p[s, 8i + v]: v is allowed at position i after signature s
-            p = np.unpackbits(sig[s0:s0 + per_sig], axis=1, bitorder="little").astype(np.float32)
-            compat[s0:s0 + per_sig, t0 // 8:-(-t1 // 8)] = np.packbits(
-                p @ q == m, axis=1, bitorder="little")
-    slots = (m * target[:, None] + np.arange(m)) * 8 + values
-    return Signatures(compat, inverse, target, slots, classes)
+    key, target = _groups(holds[_VALUE_OF[bits]].reshape(n, -1))
+    classes, words = key.shape[0], -(-key.shape[0] // 64)
+    _check_work(f"compatibility of {sig.shape[0]} signatures and {classes} classes",
+                sig.shape[0] * words * 8)
+    # table[k * m + i]: the classes whose value at position i lies in mask k,
+    # read off the key's bits (K masks, packed per position)
+    per_class = np.unpackbits(key, axis=1).reshape(classes, m, -1)[:, :, :masks.size]
+    flags = _padded(masks.size * m, classes)
+    flags[:, :classes] = per_class.transpose(2, 1, 0).reshape(-1, classes)
+    table = _words(flags)
+    rank = np.empty(256, dtype=np.intp)
+    rank[masks] = np.arange(0, m * masks.size, m)
+    index = rank[sig] + np.arange(m)
+    compat = np.empty((sig.shape[0], words), dtype=np.uint64)
+    for s in _chunks(sig.shape[0], m * words * 8):
+        compat[s] = np.bitwise_and.reduce(table[index[s]], axis=1)
+    return compat, inverse, target, classes
 
 
-def supported(avail, preq, pnreq):
-    """Whether `avail` hits every nonzero `preq`/`pnreq` mask, over the last axis."""
-    return (((preq == 0) | ((avail & preq) != 0))
-            & ((pnreq == 0) | ((avail & pnreq) != 0))).all(axis=-1)
+def signatures(arow: np.ndarray, bits: np.ndarray, designated: int) -> Signatures:
+    """Signatures, target classes and their packed compatibility relation;
+    `designated` is the logic's mask of designated values."""
+    n, m = arow.shape
+    compat, inverse, target, classes = _compatibility(arow, bits)
+    # a round's bits are (2m, 64 * words): the designated bitsets per
+    # position, then the undesignated ones
+    width = 64 * compat.shape[1]
+    dtype = np.int32 if 2 * m * width < 2 ** 31 else np.int64
+    base = np.arange(m, dtype=dtype) * width
+    slots = np.empty((n, m), dtype=dtype)
+    for c in _chunks(n, 4 * m):
+        slots[c] = target[c, None].astype(dtype) + base
+        slots[c] += (bits[c] & designated == 0) * dtype(m * width)
+    return Signatures(compat, inverse, slots, classes)
 
 
-def support_filter_round(sigs: Signatures, alive, preq, pnreq):
-    """One deletion round: rows of `alive` whose obligations stay supported.
+def support_filter_round(sigs: Signatures, alive, need):
+    """One deletion round: rows of `alive` whose `need` bits stay met.
 
-    A signature's available values at a position are those held there by some
-    alive row of a class compatible with it.
+    A signature meets a bit when some alive row of a class compatible with
+    it holds a value of that position and designation.
     """
-    m = sigs.slots.shape[1]
-    held = np.zeros((sigs.classes, 8 * m), dtype=np.float32)
-    held.reshape(-1)[sigs.slots[alive]] = 1
-    # a signature without alive rows keeps avail 0: its rows stay deleted
+    n, m = sigs.slots.shape
+    held = np.zeros((2 * m, 64 * sigs.compat.shape[1]), dtype=bool)
+    for c in _chunks(n, 4 * m):
+        held.reshape(-1)[sigs.slots[c][alive[c]]] = True
+    held = _words(held)
+    # a signature without alive rows meets nothing: its rows stay deleted
     live = np.flatnonzero(np.bincount(sigs.inverse[alive], minlength=sigs.compat.shape[0]))
-    avail = np.zeros((sigs.compat.shape[0], m), dtype=np.uint8)
-    per_sig, per_class = _block_sizes(sigs.classes, 8 * m)
-    for s0 in range(0, live.size, per_sig):
-        block = sigs.compat[live[s0:s0 + per_sig]]
-        reached = np.zeros((block.shape[0], 8 * m), dtype=np.float32)
-        for t0 in range(0, sigs.classes, per_class):
-            t1 = min(sigs.classes, t0 + per_class)
-            reach = np.unpackbits(block[:, t0 // 8:-(-t1 // 8)], axis=1, count=t1 - t0,
-                                  bitorder="little").astype(np.float32)
-            reached += reach @ held[t0:t1]
-        # each signature's 8m bits pack to its m bytes of available values
-        avail[live[s0:s0 + per_sig]] = np.packbits(reached > 0, bitorder="little").reshape(-1, m)
-    return alive & supported(avail[sigs.inverse], preq, pnreq)
+    met = _padded(sigs.compat.shape[0], 2 * m)
+    for s in _chunks(live.size, held.nbytes):
+        met[live[s], :2 * m] = np.bitwise_or.reduce(sigs.compat[live[s], None, :] & held,
+                                                    axis=2) != 0
+    unmet = np.take(~_words(met), sigs.inverse, axis=0)
+    unmet &= need
+    return alive & ~unmet.any(axis=1)
 
 
 def compat_matrix(arow, bits):
     """Maximal successor relation: edge (v, w) iff w is admissible after v."""
     n = arow.shape[0]
-    sigs = signatures(arow, bits)
-    table = np.unpackbits(sigs.compat, axis=1, count=sigs.classes,
+    _check_work(f"relation of {n} rows", n * n)
+    compat, inverse, target, classes = _compatibility(arow, bits)
+    table = np.unpackbits(compat.view(np.uint8), axis=1, count=classes,
                           bitorder="little").view(bool)
     # take, not fancy indexing: `table[:, target]` comes out column-major,
     # and gathering its rows ran 10x slower
-    cols = np.take(table, sigs.target, axis=1)   # the rows allowed after each signature
+    cols = np.take(table, target, axis=1)   # the rows allowed after each signature
     out = np.empty((n, n), dtype=bool)
     for s in _chunks(n, n):
-        out[s] = np.take(cols, sigs.inverse[s], axis=0)
+        out[s] = np.take(cols, inverse[s], axis=0)
     return out

@@ -258,8 +258,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_KNOWN_ERRORS = (decision.RowLimitError, kripke.ClosureImpossibleError,
-                 kripke.OracleBudgetError, ValueError)
+_KNOWN_ERRORS = (decision.RowLimitError, decision.WorkLimitError,
+                 kripke.ClosureImpossibleError, kripke.OracleBudgetError, ValueError)
 
 
 def main(argv=None, out=None, err=None) -> int:

@@ -18,7 +18,8 @@ from functools import cache
 import numpy as np
 
 from . import values
-from ._accel import compat_matrix, signatures, support_filter_round, supported
+from ._accel import (WorkLimitError, compat_matrix, obligations, signatures,
+                     support_filter_round)
 from .formula import Atom, Closure, Formula, children, closure, print_formula
 from .logics import Logic, frame_tables
 from .nmatrix import Nmatrix, _check_admissible, nmatrix
@@ -221,11 +222,13 @@ def filter_rows(logic: Logic, rows: np.ndarray) -> tuple[np.ndarray, int]:
     if rows.shape[0] == 0:
         return rows, 0
     arow, bits, preq, pnreq = _kernel_inputs(logic, rows)
-    sigs = signatures(arow, bits)
+    sigs = signatures(arow, bits, logic.designated_mask)
+    need = obligations(preq, pnreq)
+    del arow, bits, preq, pnreq   # n x m each; the rounds read `sigs` and `need`
     alive = np.ones(rows.shape[0], dtype=bool)
     iterations = 0
     while True:
-        keep = support_filter_round(sigs, alive, preq, pnreq)
+        keep = support_filter_round(sigs, alive, need)
         if keep.sum() == alive.sum():
             break
         alive = keep
@@ -283,6 +286,11 @@ def frame_relation(model: TableModel) -> np.ndarray:
     if "euclidean" not in model.logic.frame_props:
         return maximal
     _, bits, preq, pnreq = _kernel_inputs(model.logic, model.rows)
+    # the filter's obligation bits, and the same bits of what each row offers
+    # as a witness: exact for admissible successors, as in `_accel`
+    need = obligations(preq, pnreq)
+    designated = bits & model.logic.designated_mask != 0
+    offer = obligations(designated, ~designated)
     looped = maximal.diagonal()
     mutual = maximal & maximal.T & looped & looped[:, None]
     rel = np.zeros_like(maximal)
@@ -292,19 +300,17 @@ def frame_relation(model: TableModel) -> np.ndarray:
             continue
         mem = np.flatnonzero(mutual[v])
         seen[mem] = True
-        if supported(np.bitwise_or.reduce(bits[mem]), preq[mem], pnreq[mem]).all():
+        if not (need[mem] & ~np.bitwise_or.reduce(offer[mem])).any():
             rel[np.ix_(mem, mem)] = True
             cliques.append(mem)
-    left = np.flatnonzero(~rel.any(axis=1) & (preq | pnreq).any(axis=1))
+    left = np.flatnonzero(~rel.any(axis=1) & need.any(axis=1))
     for mem in cliques:
         if not left.size:
             break
-        # every row left at once: the values its admissible clique rows take
-        # (the product sums 0/1 terms, so `> 0` is exact, as in `_accel`)
+        # every row left at once: what its admissible clique rows offer
         sub = maximal[np.ix_(left, mem)]
-        onehot = np.unpackbits(bits[mem], axis=1, bitorder="little").astype(np.float32)
-        avail = np.packbits(sub.astype(np.float32) @ onehot > 0, axis=1, bitorder="little")
-        ok = supported(avail, preq[left], pnreq[left])
+        avail = np.bitwise_or.reduce(np.where(sub[:, :, None], offer[mem], 0), axis=1)
+        ok = ~(need[left] & ~avail).any(axis=1)
         rel[np.ix_(left[ok], mem)] = sub[ok]
         left = left[~ok]
     if left.size:

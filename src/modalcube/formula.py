@@ -22,7 +22,7 @@ ASCII grammar (precedence: prefix > '&' > '|' > '->', '->' right-assoc)::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 RESERVED = frozenset({"bot"})
@@ -39,39 +39,67 @@ class ParseError(FormulaError):
 
 
 class Formula:
-    """Base class for the four core node kinds."""
+    """Base class for the four core node kinds.
+
+    Each node caches its hash, computed at construction from its children's
+    cached hashes, so hashing never walks a subtree.
+    """
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return print_formula(self)
 
+    def __hash__(self) -> int:
+        return self._hash
+
 
 @dataclass(frozen=True, slots=True)
 class Atom(Formula):
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not ATOM_RE.fullmatch(self.name):
             raise FormulaError(f"invalid atom name {self.name!r}")
         if self.name in RESERVED:
             raise FormulaError(f"atom name {self.name!r} is a reserved word")
+        object.__setattr__(self, "_hash", hash((0, self.name)))
+
+    __hash__ = Formula.__hash__
 
 
 @dataclass(frozen=True, slots=True)
 class Falsum(Formula):
-    pass
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((1,)))
+
+    __hash__ = Formula.__hash__
 
 
 @dataclass(frozen=True, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((2, self.left._hash, self.right._hash)))
+
+    __hash__ = Formula.__hash__
 
 
 @dataclass(frozen=True, slots=True)
 class Box(Formula):
     operand: Formula
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((3, self.operand._hash)))
+
+    __hash__ = Formula.__hash__
 
 
 BOT = Falsum()
@@ -363,20 +391,35 @@ def closure(roots) -> Closure:
     roots = list(roots)
     if not roots:
         raise FormulaError("closure of an empty set")
-    seen: set[Formula] = set()
-    stack = list(roots)
+    # (size, core print) of each member, built bottom-up: a node is keyed
+    # once all its children are, from their keys
+    key: dict[Formula, tuple[int, str]] = {}
+    stack = [(f, False) for f in roots]
     try:
         while stack:
-            f = stack.pop()
-            if f in seen:
+            f, ready = stack.pop()
+            if not ready:
+                if f not in key:
+                    stack.append((f, True))
+                    stack.extend((g, False) for g in children(f) if g not in key)
                 continue
-            seen.add(f)
-            stack.extend(children(f))
-        ordered = sorted(seen, key=lambda f: (size(f), print_formula(f)))
-        return Closure(tuple(ordered))
+            if isinstance(f, Implies):
+                (ls, lt), (rs, rt) = key[f.left], key[f.right]
+                key[f] = (1 + ls + rs, _operand(f.left, lt) + " -> " + rt)
+            elif isinstance(f, Box):
+                s, t = key[f.operand]
+                key[f] = (1 + s, "[]" + _operand(f.operand, t))
+            else:
+                key[f] = (1, print_formula(f))
     except RecursionError:
-        # hashing, size and the printer recurse once per nesting level
+        # equal subformulas built apart compare once per nesting level
         raise FormulaError("formula nested too deeply") from None
+    return Closure(tuple(sorted(key, key=key.__getitem__)))
+
+
+def _operand(f: Formula, text: str) -> str:
+    """The core print of `f` as a box operand or an antecedent."""
+    return f"({text})" if isinstance(f, Implies) else text
 
 
 def instantiate(schema: Formula, binding: dict[str, Formula]) -> Formula:

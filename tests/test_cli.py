@@ -66,6 +66,15 @@ def test_row_cap_exit_two():
     assert "cap" in err
 
 
+def test_work_limit_exit_two(monkeypatch):
+    from modalcube import _accel
+    monkeypatch.setattr(_accel, "WORK_LIMIT_BYTES", 100)
+    code, out, err = run(["decide", "--logic", "KB", "[](p -> q) -> ([]p -> []q)"])
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"error: compatibility of 481 signatures and 481 classes needs 30784 "
+                        r"bytes, over the work limit of 100 bytes\n", err)
+
+
 @pytest.mark.parametrize("command", ["decide", "table", "model", "xcheck"])
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_row_cap_below_one_exit_two(command, cap):
@@ -221,10 +230,12 @@ def test_decide_output_is_deterministic():
 @pytest.mark.parametrize("goal,error", [
     # past the recursion limit in parse: a ParseError with its position
     ("(" * 300 + "p" + ")" * 300, r"error: formula nested too deeply \(at position \d+\)\n"),
-    # parses, then past it in closure: a FormulaError
-    ("!" * 500 + "p", r"error: formula nested too deeply\n"),
+    # one parser call per negation, so the limit comes later, but in parse too
+    ("!" * 1000 + "p", r"error: formula nested too deeply \(at position \d+\)\n"),
     ("(" * 240 + "p" + ")" * 240, None),   # within it
-], ids=["parentheses-300", "negations-500", "parentheses-240"])
+    # the closure hashes and keys nodes without recursing, so this decides
+    ("!" * 500 + "p", None),
+], ids=["parentheses-300", "negations-1000", "parentheses-240", "negations-500"])
 def test_deeply_nested_formula(goal, error):
     # a fresh interpreter, so the recursion budget is the command line's
     env = {**os.environ, "PYTHONPATH": str(Path(modalcube.__file__).parents[1])}

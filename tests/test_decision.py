@@ -7,7 +7,8 @@ import pytest
 
 import reference as ref
 from modalcube import _accel, values
-from modalcube._accel import compat_matrix, signatures, support_filter_round
+from modalcube._accel import (WorkLimitError, compat_matrix, obligations, signatures,
+                              support_filter_round)
 from modalcube.decision import (
     RowLimitError, MissingSubformulaError, _allowed_masks, _kernel_inputs, allowed_successors,
     build_relation, decide, enumerate_rows, extend_column, filter_model, frame_relation,
@@ -307,6 +308,11 @@ def test_filter_rows_exact_with_many_witnesses(name, text, enumerated, survivors
     assert (rows.shape[0], kept.shape[0], iterations) == (enumerated, survivors, rounds)
 
 
+def _kernel_round(logic, arow, bits, alive, preq, pnreq):
+    sigs = signatures(arow, bits, logic.designated_mask)
+    return support_filter_round(sigs, alive, obligations(preq, pnreq))
+
+
 def _exact_round(arow, bits, alive, preq, pnreq):
     """Row by row: each obligation needs one compatible alive witness."""
     keep = np.zeros(alive.size, dtype=bool)
@@ -338,7 +344,7 @@ def test_kernels_match_row_by_row_loop(name, text):
     for alive in (np.ones(rows.shape[0], dtype=bool),
                   rng.random(rows.shape[0]) < 0.8,
                   rng.random(rows.shape[0]) < 0.95):
-        got = support_filter_round(signatures(arow, bits), alive, preq, pnreq)
+        got = _kernel_round(logic, arow, bits, alive, preq, pnreq)
         want = _exact_round(arow, bits, alive, preq, pnreq)
         assert np.array_equal(got, want)
     want = np.array([((arow[v] & bits) != 0).all(axis=1) for v in range(rows.shape[0])])
@@ -365,11 +371,13 @@ def test_compatibility_is_stored_per_signature_and_target_class(name, text, size
     logic = lookup(name)
     rows = enumerate_rows(logic, closure([parse(text)]))
     arow, bits, _, _ = _kernel_inputs(logic, rows)
-    sigs = signatures(arow, bits)
+    sigs = signatures(arow, bits, logic.designated_mask)
     n, s, t = sizes
     assert rows.shape[0] == n and np.unique(arow, axis=0).shape[0] == s
     assert sigs.classes == _before_classes(logic, rows) == t
-    assert sigs.compat.shape == (s, -(-t // 8))
+    # S * ceil(T / 64) words, and one int32 slot per row and position
+    assert sigs.compat.shape == (s, -(-t // 64)) and sigs.compat.dtype == np.uint64
+    assert sigs.slots.shape == rows.shape and sigs.slots.dtype == np.int32
     want = np.array([((arow[v] & bits) != 0).all(axis=1) for v in range(n)])
     assert np.array_equal(compat_matrix(arow, bits), want)
     assert np.array_equal(build_relation(logic, rows), want)
@@ -377,7 +385,8 @@ def test_compatibility_is_stored_per_signature_and_target_class(name, text, size
 
 def test_largest_closure_keeps_every_row_over_packed_classes():
     """K on the closure of 194408 rows: every row survives, and compatibility
-    takes a bit per signature and target class, not a bit per signature and row."""
+    takes a bit per signature and target class, not a bit per signature and row,
+    in S * ceil(T / 64) words."""
     logic = lookup("K")
     rows = enumerate_rows(logic, closure([parse("[][][]p -> <><>(q -> []r)")]))
     kept, rounds = filter_rows(logic, rows)
@@ -385,7 +394,7 @@ def test_largest_closure_keeps_every_row_over_packed_classes():
     arow, bits, _, _ = _kernel_inputs(logic, rows)
     s, t = np.unique(arow, axis=0).shape[0], _before_classes(logic, rows)
     assert (s, t) == (24301, 512)
-    assert signatures(arow, bits).compat.nbytes <= s * -(-t // 8)
+    assert signatures(arow, bits, logic.designated_mask).compat.nbytes == s * -(-t // 64) * 8
 
 
 def _k_table():
@@ -400,13 +409,13 @@ def _check_kernels_on_subtable(logic, rows, count):
     rng = np.random.default_rng(count)
     alive = np.zeros(rows.shape[0], dtype=bool)
     alive[rng.choice(rows.shape[0], count, replace=False)] = True
-    got = support_filter_round(signatures(arow, bits), alive, preq, pnreq)
+    got = _kernel_round(logic, arow, bits, alive, preq, pnreq)
     assert np.array_equal(got, _exact_round(arow, bits, alive, preq, pnreq))
     # a table of `count` rows, all alive
     sub = np.flatnonzero(alive)
     arow, bits, preq, pnreq = arow[sub], bits[sub], preq[sub], pnreq[sub]
     alive = np.ones(count, dtype=bool)
-    got = support_filter_round(signatures(arow, bits), alive, preq, pnreq)
+    got = _kernel_round(logic, arow, bits, alive, preq, pnreq)
     assert np.array_equal(got, _exact_round(arow, bits, alive, preq, pnreq))
     want = np.array([((arow[v] & bits) != 0).all(axis=1) for v in range(count)])
     assert np.array_equal(compat_matrix(arow, bits), want)
@@ -432,12 +441,50 @@ def test_kernels_same_under_tiny_chunks(monkeypatch):
     kept, rounds = filter_rows(logic, rows)
     relation = build_relation(logic, kept)
     assert rounds == 1 and kept.shape[0] < rows.shape[0]
-    # 32 bytes per temporary: one signature and 8 classes per product block,
-    # one output row per chunk of the compatibility matrix
+    # 32 bytes per temporary: one signature per block of compatibility words
+    # and of round tests, one row per block of slots and obligations, one
+    # output row per chunk of the compatibility matrix
     monkeypatch.setattr(_accel, "_CHUNK_BYTES", 32)
     again, again_rounds = filter_rows(logic, rows)
     assert again_rounds == rounds and np.array_equal(again, kept)
     assert np.array_equal(build_relation(logic, kept), relation)
+
+
+def test_swapped_obligation_halves_are_caught():
+    """`need` holds the designated half, then the undesignated one: read the
+    other way round, a round keeps other rows than the row-by-row loop."""
+    for logic, rows in (_k_table(), (lookup("KDB"), enumerate_rows(
+            lookup("KDB"), closure([parse("[](p -> q) -> ([]p -> []q)")])))):
+        arow, bits, preq, pnreq = _kernel_inputs(logic, rows)
+        sigs = signatures(arow, bits, logic.designated_mask)
+        alive = np.ones(rows.shape[0], dtype=bool)
+        want = _exact_round(arow, bits, alive, preq, pnreq)
+        assert np.array_equal(support_filter_round(sigs, alive, obligations(preq, pnreq)), want)
+        swapped = support_filter_round(sigs, alive, obligations(pnreq, preq))
+        assert not np.array_equal(swapped, want)
+
+
+def test_work_limit_refuses_compatibility_before_building_it(monkeypatch):
+    logic, rows = _k_table()   # 331 signatures x one word for 16 classes
+    monkeypatch.setattr(_accel, "WORK_LIMIT_BYTES", 331 * 8 - 1)
+    with pytest.raises(WorkLimitError) as info:
+        filter_rows(logic, rows)
+    assert (info.value.estimate, info.value.limit) == (331 * 8, 331 * 8 - 1)
+    assert "331 signatures and 16 classes needs 2648 bytes" in str(info.value)
+    monkeypatch.setattr(_accel, "WORK_LIMIT_BYTES", 331 * 8)
+    assert filter_rows(logic, rows)[1] == 1
+
+
+def test_work_limit_refuses_the_dense_relation(monkeypatch):
+    logic, rows = _k_table()
+    n = rows.shape[0]
+    monkeypatch.setattr(_accel, "WORK_LIMIT_BYTES", n * n - 1)
+    with pytest.raises(WorkLimitError) as info:
+        build_relation(logic, rows)
+    assert info.value.estimate == n * n
+    assert f"relation of {n} rows needs {n * n} bytes" in str(info.value)
+    monkeypatch.setattr(_accel, "WORK_LIMIT_BYTES", n * n)
+    assert build_relation(logic, rows).shape == (n, n)
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,26 @@ def test_parse_rejects_deep_nesting_with_a_parse_error():
 
 
 def test_closure_rejects_deep_nesting_with_a_formula_error():
-    f = parse("!" * 500 + "p")
+    # hashes and sort keys never walk a subtree, so one formula nested past
+    # the recursion limit has a closure; comparing two equal ones built
+    # apart still recurses once per level
+    f, g = Atom("p"), Atom("p")
+    for _ in range(3000):
+        f, g = lnot(f), lnot(g)
+    assert len(closure([f])) == 3002
     with pytest.raises(FormulaError, match="nested too deeply"):
-        closure([f])
+        closure([f, g])
+
+
+def test_closure_keys_match_size_and_print():
+    """The bottom-up sort keys order a closure as (size, print_formula) does."""
+    # p -> q -> r sorts after p -> [][]q, and would sort before it if the
+    # right operand of an implication were printed in parentheses
+    for text in ("!" * 500 + "p", "([]p & []q) -> [](p | (q & r))", "<>[]p -> []<>(q -> bot)",
+                 "[](p -> q) -> ([]p -> []q)", "((p -> q) -> p) -> p",
+                 "(p -> q -> r) | (p -> [][]q)"):
+        clo = closure([parse(text)])
+        assert list(clo.formulas) == sorted(clo.formulas, key=lambda f: (size(f), print_formula(f)))
 
 
 def test_parse_error_reports_position():
