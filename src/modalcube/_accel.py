@@ -1,10 +1,13 @@
 """The row-filtering kernels: one support-filter round and the compatibility matrix.
 
+Kernels read the uint8[n, m] table `rows` of value ids and masks over the
+eight values: `allowed[x]`, the values an atom may take after a world where
+it takes x, and value sets such as the designated values.
+
 Row w may follow row v when, at every closure position, w's value is allowed
-after v's.  That depends on v only through its signature `arow[v]`, and on w
-only through its target class: per position, which of the table's distinct
-successor masks hold w's value (the values allowed before w's value, as far
-as the table's signatures tell them apart).  Both are often far fewer than
+after v's.  That depends on v only through its signature `allowed[rows[v]]`,
+and on w only through its target class: per position, which of the table's
+distinct successor masks hold w's value.  Both are often far fewer than
 rows: K on 194408 rows has 24301 signatures and 512 classes, K on 7928 rows
 991 and 48.  Only in KB and KDB is nearly every row a signature and a class
 of its own.  So compatibility is a relation between S signatures and T
@@ -17,30 +20,22 @@ A support-filter round packs 2m bitsets over classes: per position, the
 classes where some alive row holds a designated value, and those where one
 holds an undesignated value.  A signature has a designated (undesignated)
 witness at a position exactly when its `compat` row ANDed with that bitset
-is nonzero.  Each row carries its obligations as bits too, `need` from
-`obligations(preq, pnreq)`: the positions whose "possible" half asks for a
-designated witness, then those whose "possibly false" half asks for an
-undesignated one.  A row survives when its signature meets every bit of
-its `need`.  The compatibility matrix reads `compat[sig(v), class(w)]`,
-through an S x n table no larger than its n x n result.  Bitsets are packed
-bytes viewed as uint64 words, so every test is a word AND and nothing is
-counted that could overflow.
+is nonzero.  A row's obligations are 2m bits, `obligations(rows, P_MASK,
+PN_MASK)`: the positions whose value is in P, then those whose value is in
+PN.  A row survives when its signature meets every bit of its `need`.  The
+compatibility matrix reads `compat[sig(v), class(w)]`, through an S x n
+table no larger than its n x n result.  Bitsets are packed bytes viewed as
+uint64 words, so every test is a word AND and nothing is counted that could
+overflow.
 
-Why this is exact.  `preq[v, i]`, where nonzero, is the allowed mask
-`arow[v, i]` ANDed with the designated values, and `pnreq[v, i]` the same
-with the undesignated ones.  A compatible successor's value at i always
-lies in `arow[v, i]`.  So a compatible alive row's value hits `preq[v, i]`
-exactly when it is designated, and hits `pnreq[v, i]` exactly when it is
-not: the designated and undesignated bitsets answer the same question as
-the masks, row for row, with no arithmetic.
-
-Kernel inputs are plain arrays derived from a row table:
-
-    arow[v, i]  mask of values admissible at successors of row v, position i
-    bits[v, i]  1 << value of row v at position i
-    preq[v, i]  mask a successor value must hit for the "possible" half of
-                the support obligation (0 when the position imposes none)
-    pnreq[v, i] same for the "possibly false" half
+Why this is exact.  A value x in P needs a successor whose value lies in
+`allowed[x]` and is designated; a value in PN needs one whose value lies in
+`allowed[x]` and is undesignated.  A compatible successor's value always
+lies in `allowed[x]`, so the designated and undesignated bitsets answer
+that question row for row, with no arithmetic.  These witness sets are
+nonempty for every admissible value (a test pins it in all 15 logics), so
+the bits also agree with the row-by-row references, which skip a position
+whose witness set is empty.
 """
 
 from __future__ import annotations
@@ -58,8 +53,6 @@ WORK_LIMIT_BYTES = 1 << 30
 
 _CHUNK_BYTES = 1 << 18   # per temporary: 1 MB raised cube-queries' peak RSS by 1.5 MB
 _VALUES = np.arange(8, dtype=np.uint8)
-_VALUE_OF = np.zeros(256, dtype=np.intp)   # the value v of the one-hot byte 1 << v
-_VALUE_OF[1 << _VALUES] = _VALUES
 
 
 class WorkLimitError(RuntimeError):
@@ -110,15 +103,22 @@ def _groups(a: np.ndarray):
     return distinct.view(np.uint8).reshape(-1, k), inverse.reshape(n)
 
 
-def obligations(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """uint64[n, ceil(2m / 64)]: bit i says `lo[:, i] != 0`, bit m + i says
-    `hi[:, i] != 0`.  `obligations(preq, pnreq)` is each row's `need`."""
-    n, m = lo.shape
+def _members(mask: int) -> np.ndarray:
+    """bool[8]: which values the mask holds."""
+    return mask >> _VALUES & 1 != 0
+
+
+def obligations(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """uint64[n, ceil(2m / 64)]: bit i says the value at position i is in
+    the mask `lo`, bit m + i that it is in `hi`.
+    `obligations(rows, P_MASK, PN_MASK)` is each row's `need`."""
+    n, m = rows.shape
+    lo, hi = _members(lo), _members(hi)
     out = np.empty((n, -(-2 * m // 64)), dtype=np.uint64)
     for c in _chunks(n, 64 * out.shape[1]):
         flags = _padded(c.stop - c.start, 2 * m)
-        np.not_equal(lo[c], 0, out=flags[:, :m])
-        np.not_equal(hi[c], 0, out=flags[:, m:2 * m])
+        flags[:, :m] = lo[rows[c]]
+        flags[:, m:2 * m] = hi[rows[c]]
         out[c] = _words(flags)
     return out
 
@@ -130,15 +130,15 @@ class Signatures(NamedTuple):
     classes: int         # T
 
 
-def _compatibility(arow: np.ndarray, bits: np.ndarray):
+def _compatibility(rows: np.ndarray, allowed: np.ndarray):
     """compat, each row's signature, each row's target class, and T."""
-    n, m = arow.shape
-    sig, inverse = _groups(arow)
+    n, m = rows.shape
+    sig, inverse = _groups(allowed[rows])
     # the target key: per position, which distinct successor masks hold the
     # row's value (np.unique of a plain array would import numpy.ma, 10 ms)
     masks = np.flatnonzero(np.bincount(sig.reshape(-1), minlength=256))
     holds = np.packbits(masks >> _VALUES[:, None] & 1, axis=1)
-    key, target = _groups(holds[_VALUE_OF[bits]].reshape(n, -1))
+    key, target = _groups(holds[rows].reshape(n, -1))
     classes, words = key.shape[0], -(-key.shape[0] // 64)
     _check_work(f"compatibility of {sig.shape[0]} signatures and {classes} classes",
                 sig.shape[0] * words * 8)
@@ -157,20 +157,21 @@ def _compatibility(arow: np.ndarray, bits: np.ndarray):
     return compat, inverse, target, classes
 
 
-def signatures(arow: np.ndarray, bits: np.ndarray, designated: int) -> Signatures:
+def signatures(rows: np.ndarray, allowed: np.ndarray, designated: int) -> Signatures:
     """Signatures, target classes and their packed compatibility relation;
     `designated` is the logic's mask of designated values."""
-    n, m = arow.shape
-    compat, inverse, target, classes = _compatibility(arow, bits)
+    n, m = rows.shape
+    compat, inverse, target, classes = _compatibility(rows, allowed)
     # a round's bits are (2m, 64 * words): the designated bitsets per
     # position, then the undesignated ones
     width = 64 * compat.shape[1]
     dtype = np.int32 if 2 * m * width < 2 ** 31 else np.int64
     base = np.arange(m, dtype=dtype) * width
+    undesignated = (~_members(designated)).astype(dtype) * dtype(m * width)
     slots = np.empty((n, m), dtype=dtype)
     for c in _chunks(n, 4 * m):
         slots[c] = target[c, None].astype(dtype) + base
-        slots[c] += (bits[c] & designated == 0) * dtype(m * width)
+        slots[c] += undesignated[rows[c]]
     return Signatures(compat, inverse, slots, classes)
 
 
@@ -196,11 +197,11 @@ def support_filter_round(sigs: Signatures, alive, need):
     return alive & ~unmet.any(axis=1)
 
 
-def compat_matrix(arow, bits):
+def compat_matrix(rows, allowed):
     """Maximal successor relation: edge (v, w) iff w is admissible after v."""
-    n = arow.shape[0]
+    n = rows.shape[0]
     _check_work(f"relation of {n} rows", n * n)
-    compat, inverse, target, classes = _compatibility(arow, bits)
+    compat, inverse, target, classes = _compatibility(rows, allowed)
     table = np.unpackbits(compat.view(np.uint8), axis=1, count=classes,
                           bitorder="little").view(bool)
     # take, not fancy indexing: `table[:, target]` comes out column-major,

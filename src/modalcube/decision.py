@@ -27,7 +27,6 @@ from .values import in_mask, mask_of
 
 ROW_CAP_DEFAULT = 2_000_000
 
-_POPCOUNT = np.array([bin(x).count("1") for x in range(256)], dtype=np.int64)
 _BITS = np.arange(8, dtype=np.uint8)
 _SINGLE_VALUE = np.full(256, 255, dtype=np.uint8)
 for _v in range(8):
@@ -198,6 +197,8 @@ def validate_rows(logic: Logic, clo: Closure, rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _kernel_inputs(logic: Logic, rows: np.ndarray):
+    """Per row and position: successor mask, one-hot value and witness masks.
+    Only the row-by-row references (perfbench, tests) read these."""
     allowed = _allowed_masks(logic)
     preq, pnreq = _requirement_masks(logic)
     return allowed[rows], np.uint8(1) << rows, preq[rows], pnreq[rows]
@@ -208,8 +209,7 @@ def build_relation(logic: Logic, rows: np.ndarray) -> np.ndarray:
     allowed after the corresponding position of v."""
     if rows.shape[0] == 0:
         return np.zeros((0, 0), dtype=bool)
-    allowed = _allowed_masks(logic)
-    return compat_matrix(allowed[rows], np.uint8(1) << rows)
+    return compat_matrix(rows, _allowed_masks(logic))
 
 
 def filter_rows(logic: Logic, rows: np.ndarray) -> tuple[np.ndarray, int]:
@@ -221,10 +221,8 @@ def filter_rows(logic: Logic, rows: np.ndarray) -> tuple[np.ndarray, int]:
     """
     if rows.shape[0] == 0:
         return rows, 0
-    arow, bits, preq, pnreq = _kernel_inputs(logic, rows)
-    sigs = signatures(arow, bits, logic.designated_mask)
-    need = obligations(preq, pnreq)
-    del arow, bits, preq, pnreq   # n x m each; the rounds read `sigs` and `need`
+    sigs = signatures(rows, _allowed_masks(logic), logic.designated_mask)
+    need = obligations(rows, values.P_MASK, values.PN_MASK)
     alive = np.ones(rows.shape[0], dtype=bool)
     iterations = 0
     while True:
@@ -257,8 +255,6 @@ class TableModel:
         return np.argwhere(self.relation_matrix()).tolist()
 
     def stable_flags(self) -> np.ndarray:
-        if self.rows.shape[0] == 0:
-            return np.zeros(0, dtype=bool)
         return in_mask(values.STABLE_MASK, self.rows[:, 0])
 
 
@@ -285,12 +281,11 @@ def frame_relation(model: TableModel) -> np.ndarray:
     maximal = model.relation_matrix()
     if "euclidean" not in model.logic.frame_props:
         return maximal
-    _, bits, preq, pnreq = _kernel_inputs(model.logic, model.rows)
     # the filter's obligation bits, and the same bits of what each row offers
     # as a witness: exact for admissible successors, as in `_accel`
-    need = obligations(preq, pnreq)
-    designated = bits & model.logic.designated_mask != 0
-    offer = obligations(designated, ~designated)
+    need = obligations(model.rows, values.P_MASK, values.PN_MASK)
+    offer = obligations(model.rows, model.logic.designated_mask,
+                        model.logic.nondesignated_mask)
     looped = maximal.diagonal()
     mutual = maximal & maximal.T & looped & looped[:, None]
     rel = np.zeros_like(maximal)
@@ -380,9 +375,6 @@ def level_filter(logic: Logic, clo: Closure, depth: int,
     levels = [enumerate_rows(logic, clo, row_cap)]
     for _ in range(depth):
         cur = levels[-1]
-        if cur.shape[0] == 0:
-            levels.append(cur)
-            continue
         taut = in_mask(logic.designated_mask, cur).all(axis=0)
         keep = in_mask(_NT_MASK, cur[:, taut]).all(axis=1)
         levels.append(cur[keep])
@@ -429,7 +421,7 @@ def extend_column(model: TableModel, f: Formula) -> TableModel:
     else:
         mat = nmatrix(logic)
         cells = _cells(mat, rows, kind, i, j, *_union_tables(logic))
-        multi = _POPCOUNT[cells] > 1
+        multi = cells & (cells - 1) != 0
         if multi.any():
             rel = frame_relation(model)
             designates = cells & values.D_MASK != 0

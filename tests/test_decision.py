@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from modalcube import _accel, values
 from modalcube._accel import (WorkLimitError, compat_matrix, obligations, signatures,
                               support_filter_round)
 from modalcube.decision import (
-    RowLimitError, MissingSubformulaError, _allowed_masks, _kernel_inputs, allowed_successors,
+    RowLimitError, MissingSubformulaError, _allowed_masks, _kernel_inputs, _requirement_masks,
+    allowed_successors,
     build_relation, decide, enumerate_rows, extend_column, filter_model, frame_relation,
     TableModel, filter_rows, level_filter, model_to_csv, model_to_json,
     model_to_json_dict, support_requirements, validate_rows,
@@ -208,6 +210,17 @@ def test_support_requirements_match_reference(logic_name):
         assert got == want, name
 
 
+def test_witness_masks_are_nonempty_on_exactly_p_and_pn_values(logic_name):
+    """Every admissible P value allows a designated successor, and every
+    admissible PN value an undesignated one.  So the filter's obligation bits,
+    membership of the value in P and in PN, are set exactly where the
+    value's witness mask is nonempty."""
+    logic = lookup(logic_name)
+    preq, pnreq = _requirement_masks(logic)
+    assert set(np.flatnonzero(preq)) == set(values.values_in(logic.values_mask & values.P_MASK))
+    assert set(np.flatnonzero(pnreq)) == set(values.values_in(logic.values_mask & values.PN_MASK))
+
+
 @pytest.mark.parametrize("v,named", [(-1, "code -1"), (8, "code 8"), (values.ff, "ff")])
 def test_inadmissible_value_raises_one_error(v, named):
     """Every entry point taking a value code rejects the same codes with the
@@ -308,9 +321,9 @@ def test_filter_rows_exact_with_many_witnesses(name, text, enumerated, survivors
     assert (rows.shape[0], kept.shape[0], iterations) == (enumerated, survivors, rounds)
 
 
-def _kernel_round(logic, arow, bits, alive, preq, pnreq):
-    sigs = signatures(arow, bits, logic.designated_mask)
-    return support_filter_round(sigs, alive, obligations(preq, pnreq))
+def _kernel_round(logic, rows, alive):
+    sigs = signatures(rows, _allowed_masks(logic), logic.designated_mask)
+    return support_filter_round(sigs, alive, obligations(rows, values.P_MASK, values.PN_MASK))
 
 
 def _exact_round(arow, bits, alive, preq, pnreq):
@@ -344,11 +357,11 @@ def test_kernels_match_row_by_row_loop(name, text):
     for alive in (np.ones(rows.shape[0], dtype=bool),
                   rng.random(rows.shape[0]) < 0.8,
                   rng.random(rows.shape[0]) < 0.95):
-        got = _kernel_round(logic, arow, bits, alive, preq, pnreq)
+        got = _kernel_round(logic, rows, alive)
         want = _exact_round(arow, bits, alive, preq, pnreq)
         assert np.array_equal(got, want)
     want = np.array([((arow[v] & bits) != 0).all(axis=1) for v in range(rows.shape[0])])
-    assert np.array_equal(compat_matrix(arow, bits), want)
+    assert np.array_equal(compat_matrix(rows, _allowed_masks(logic)), want)
 
 
 def _before_classes(logic, rows):
@@ -371,7 +384,7 @@ def test_compatibility_is_stored_per_signature_and_target_class(name, text, size
     logic = lookup(name)
     rows = enumerate_rows(logic, closure([parse(text)]))
     arow, bits, _, _ = _kernel_inputs(logic, rows)
-    sigs = signatures(arow, bits, logic.designated_mask)
+    sigs = signatures(rows, _allowed_masks(logic), logic.designated_mask)
     n, s, t = sizes
     assert rows.shape[0] == n and np.unique(arow, axis=0).shape[0] == s
     assert sigs.classes == _before_classes(logic, rows) == t
@@ -379,7 +392,7 @@ def test_compatibility_is_stored_per_signature_and_target_class(name, text, size
     assert sigs.compat.shape == (s, -(-t // 64)) and sigs.compat.dtype == np.uint64
     assert sigs.slots.shape == rows.shape and sigs.slots.dtype == np.int32
     want = np.array([((arow[v] & bits) != 0).all(axis=1) for v in range(n)])
-    assert np.array_equal(compat_matrix(arow, bits), want)
+    assert np.array_equal(compat_matrix(rows, _allowed_masks(logic)), want)
     assert np.array_equal(build_relation(logic, rows), want)
 
 
@@ -391,10 +404,27 @@ def test_largest_closure_keeps_every_row_over_packed_classes():
     rows = enumerate_rows(logic, closure([parse("[][][]p -> <><>(q -> []r)")]))
     kept, rounds = filter_rows(logic, rows)
     assert rounds == 0 and np.array_equal(kept, rows) and rows.shape[0] == 194408
-    arow, bits, _, _ = _kernel_inputs(logic, rows)
-    s, t = np.unique(arow, axis=0).shape[0], _before_classes(logic, rows)
+    allowed = _allowed_masks(logic)
+    s, t = np.unique(allowed[rows], axis=0).shape[0], _before_classes(logic, rows)
     assert (s, t) == (24301, 512)
-    assert signatures(arow, bits, logic.designated_mask).compat.nbytes == s * -(-t // 64) * 8
+    assert signatures(rows, allowed, logic.designated_mask).compat.nbytes == s * -(-t // 64) * 8
+
+
+def test_filter_memory_is_bounded_per_row():
+    """K on the closure of 194408 rows and 16 positions: everything the
+    filter allocates at once stays under 9 bytes per row and position
+    (numpy reports its buffers to tracemalloc)."""
+    logic = lookup("K")
+    rows = enumerate_rows(logic, closure([parse("[][][]p -> <><>(q -> []r)")]))
+    n, m = rows.shape
+    assert (n, m) == (194408, 16)
+    tracemalloc.start()
+    try:
+        filter_rows(logic, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * n * m
 
 
 def _k_table():
@@ -409,16 +439,17 @@ def _check_kernels_on_subtable(logic, rows, count):
     rng = np.random.default_rng(count)
     alive = np.zeros(rows.shape[0], dtype=bool)
     alive[rng.choice(rows.shape[0], count, replace=False)] = True
-    got = _kernel_round(logic, arow, bits, alive, preq, pnreq)
+    got = _kernel_round(logic, rows, alive)
     assert np.array_equal(got, _exact_round(arow, bits, alive, preq, pnreq))
     # a table of `count` rows, all alive
     sub = np.flatnonzero(alive)
-    arow, bits, preq, pnreq = arow[sub], bits[sub], preq[sub], pnreq[sub]
+    rows = rows[sub]
+    arow, bits, preq, pnreq = _kernel_inputs(logic, rows)
     alive = np.ones(count, dtype=bool)
-    got = _kernel_round(logic, arow, bits, alive, preq, pnreq)
+    got = _kernel_round(logic, rows, alive)
     assert np.array_equal(got, _exact_round(arow, bits, alive, preq, pnreq))
     want = np.array([((arow[v] & bits) != 0).all(axis=1) for v in range(count)])
-    assert np.array_equal(compat_matrix(arow, bits), want)
+    assert np.array_equal(compat_matrix(rows, _allowed_masks(logic)), want)
 
 
 # alive sets and sub-tables of the K table on each side of 64 and 128 rows
@@ -456,11 +487,12 @@ def test_swapped_obligation_halves_are_caught():
     for logic, rows in (_k_table(), (lookup("KDB"), enumerate_rows(
             lookup("KDB"), closure([parse("[](p -> q) -> ([]p -> []q)")])))):
         arow, bits, preq, pnreq = _kernel_inputs(logic, rows)
-        sigs = signatures(arow, bits, logic.designated_mask)
+        sigs = signatures(rows, _allowed_masks(logic), logic.designated_mask)
         alive = np.ones(rows.shape[0], dtype=bool)
         want = _exact_round(arow, bits, alive, preq, pnreq)
-        assert np.array_equal(support_filter_round(sigs, alive, obligations(preq, pnreq)), want)
-        swapped = support_filter_round(sigs, alive, obligations(pnreq, preq))
+        need = obligations(rows, values.P_MASK, values.PN_MASK)
+        assert np.array_equal(support_filter_round(sigs, alive, need), want)
+        swapped = support_filter_round(sigs, alive, obligations(rows, values.PN_MASK, values.P_MASK))
         assert not np.array_equal(swapped, want)
 
 
