@@ -18,7 +18,12 @@ bitset of classes whose value there lies in the mask; a signature's row of
 
 A support-filter round packs 2m bitsets over classes: per position, the
 classes where some alive row holds a designated value, and those where one
-holds an undesignated value.  A signature has a designated (undesignated)
+holds an undesignated value.  Nothing per row and position is stored for
+it: `Signatures` keeps each row's signature `inverse` and class `target`,
+the caller's `rows`, and per value `undesignated_offset`, 0 or m * width
+(width = 64 * ceil(T / 64)).  A round sets, a chunk of alive rows v at a
+time, the flat bits `undesignated_offset[rows[v, i]] + i * width +
+target[v]` in intp.  A signature has a designated (undesignated)
 witness at a position exactly when its `compat` row ANDed with that bitset
 is nonzero.  A row's obligations are 2m bits, `obligations(rows, P_MASK,
 PN_MASK)`: the positions whose value is in P, then those whose value is in
@@ -126,12 +131,15 @@ def obligations(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
 class Signatures(NamedTuple):
     compat: np.ndarray   # uint64[S, ceil(T / 64)]: bit t says class t may follow s
     inverse: np.ndarray  # intp[n]: the signature of each row
-    slots: np.ndarray    # int32[n, m]: per position, the row's (half, class) bit in a round
+    target: np.ndarray   # intp[n]: the class of each row
     classes: int         # T
+    rows: np.ndarray     # uint8[n, m]: the caller's table, not a copy
+    undesignated_offset: np.ndarray  # intp[8]: per value, its half of a round's bits
 
 
-def _compatibility(rows: np.ndarray, allowed: np.ndarray):
-    """compat, each row's signature, each row's target class, and T."""
+def signatures(rows: np.ndarray, allowed: np.ndarray, designated: int) -> Signatures:
+    """Signatures, target classes and their packed compatibility relation;
+    `designated` is the logic's mask of designated values."""
     n, m = rows.shape
     sig, inverse = _groups(allowed[rows])
     # the target key: per position, which distinct successor masks hold the
@@ -154,25 +162,9 @@ def _compatibility(rows: np.ndarray, allowed: np.ndarray):
     compat = np.empty((sig.shape[0], words), dtype=np.uint64)
     for s in _chunks(sig.shape[0], m * words * 8):
         compat[s] = np.bitwise_and.reduce(table[index[s]], axis=1)
-    return compat, inverse, target, classes
-
-
-def signatures(rows: np.ndarray, allowed: np.ndarray, designated: int) -> Signatures:
-    """Signatures, target classes and their packed compatibility relation;
-    `designated` is the logic's mask of designated values."""
-    n, m = rows.shape
-    compat, inverse, target, classes = _compatibility(rows, allowed)
-    # a round's bits are (2m, 64 * words): the designated bitsets per
-    # position, then the undesignated ones
-    width = 64 * compat.shape[1]
-    dtype = np.int32 if 2 * m * width < 2 ** 31 else np.int64
-    base = np.arange(m, dtype=dtype) * width
-    undesignated = (~_members(designated)).astype(dtype) * dtype(m * width)
-    slots = np.empty((n, m), dtype=dtype)
-    for c in _chunks(n, 4 * m):
-        slots[c] = target[c, None].astype(dtype) + base
-        slots[c] += undesignated[rows[c]]
-    return Signatures(compat, inverse, slots, classes)
+    # a round's bits: the designated bitsets per position, then the undesignated ones
+    offset = (~_members(designated)).astype(np.intp) * (m * 64 * words)
+    return Signatures(compat, inverse, target, classes, rows, offset)
 
 
 def support_filter_round(sigs: Signatures, alive, need):
@@ -181,10 +173,16 @@ def support_filter_round(sigs: Signatures, alive, need):
     A signature meets a bit when some alive row of a class compatible with
     it holds a value of that position and designation.
     """
-    n, m = sigs.slots.shape
-    held = np.zeros((2 * m, 64 * sigs.compat.shape[1]), dtype=bool)
-    for c in _chunks(n, 4 * m):
-        held.reshape(-1)[sigs.slots[c][alive[c]]] = True
+    n, m = sigs.rows.shape
+    width = 64 * sigs.compat.shape[1]
+    held = np.zeros((2 * m, width), dtype=bool)
+    base = np.arange(m, dtype=np.intp) * width
+    for c in _chunks(n, 8 * m):
+        v = np.flatnonzero(alive[c]) + c.start
+        bit = sigs.undesignated_offset[sigs.rows[v]]
+        bit += base
+        bit += sigs.target[v, None]
+        held.reshape(-1)[bit] = True
     held = _words(held)
     # a signature without alive rows meets nothing: its rows stay deleted
     live = np.flatnonzero(np.bincount(sigs.inverse[alive], minlength=sigs.compat.shape[0]))
@@ -201,13 +199,13 @@ def compat_matrix(rows, allowed):
     """Maximal successor relation: edge (v, w) iff w is admissible after v."""
     n = rows.shape[0]
     _check_work(f"relation of {n} rows", n * n)
-    compat, inverse, target, classes = _compatibility(rows, allowed)
-    table = np.unpackbits(compat.view(np.uint8), axis=1, count=classes,
+    sigs = signatures(rows, allowed, 0)
+    table = np.unpackbits(sigs.compat.view(np.uint8), axis=1, count=sigs.classes,
                           bitorder="little").view(bool)
     # take, not fancy indexing: `table[:, target]` comes out column-major,
     # and gathering its rows ran 10x slower
-    cols = np.take(table, target, axis=1)   # the rows allowed after each signature
+    cols = np.take(table, sigs.target, axis=1)   # the rows allowed after each signature
     out = np.empty((n, n), dtype=bool)
     for s in _chunks(n, n):
-        out[s] = np.take(cols, inverse[s], axis=0)
+        out[s] = np.take(cols, sigs.inverse[s], axis=0)
     return out

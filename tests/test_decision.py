@@ -388,9 +388,13 @@ def test_compatibility_is_stored_per_signature_and_target_class(name, text, size
     n, s, t = sizes
     assert rows.shape[0] == n and np.unique(arow, axis=0).shape[0] == s
     assert sigs.classes == _before_classes(logic, rows) == t
-    # S * ceil(T / 64) words, and one int32 slot per row and position
+    # S * ceil(T / 64) words, and per row only its signature and class: past
+    # the words (in KDB as many as the table's 480 x 8 entries) and the
+    # caller's table, no field holds more than n entries
     assert sigs.compat.shape == (s, -(-t // 64)) and sigs.compat.dtype == np.uint64
-    assert sigs.slots.shape == rows.shape and sigs.slots.dtype == np.int32
+    assert sigs.target.shape == sigs.inverse.shape == (n,)
+    assert sigs.rows is rows and all(np.size(v) <= n for k, v in sigs._asdict().items()
+                                     if k not in ("compat", "rows"))
     want = np.array([((arow[v] & bits) != 0).all(axis=1) for v in range(n)])
     assert np.array_equal(compat_matrix(rows, _allowed_masks(logic)), want)
     assert np.array_equal(build_relation(logic, rows), want)
@@ -412,7 +416,7 @@ def test_largest_closure_keeps_every_row_over_packed_classes():
 
 def test_filter_memory_is_bounded_per_row():
     """K on the closure of 194408 rows and 16 positions: everything the
-    filter allocates at once stays under 9 bytes per row and position
+    filter allocates at once stays under 6 bytes per row and position
     (numpy reports its buffers to tracemalloc)."""
     logic = lookup("K")
     rows = enumerate_rows(logic, closure([parse("[][][]p -> <><>(q -> []r)")]))
@@ -424,7 +428,7 @@ def test_filter_memory_is_bounded_per_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * n * m
+    assert peak <= 6 * n * m
 
 
 def _k_table():
@@ -473,8 +477,8 @@ def test_kernels_same_under_tiny_chunks(monkeypatch):
     relation = build_relation(logic, kept)
     assert rounds == 1 and kept.shape[0] < rows.shape[0]
     # 32 bytes per temporary: one signature per block of compatibility words
-    # and of round tests, one row per block of slots and obligations, one
-    # output row per chunk of the compatibility matrix
+    # and of round tests, one row per block of round bits and obligations,
+    # one output row per chunk of the compatibility matrix
     monkeypatch.setattr(_accel, "_CHUNK_BYTES", 32)
     again, again_rounds = filter_rows(logic, rows)
     assert again_rounds == rounds and np.array_equal(again, kept)

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from modalcube import values
 from modalcube.cli import random_formula
 from modalcube.decision import (
-    decide, enumerate_rows, filter_model, filter_rows, support_requirements,
+    decide, enumerate_rows, filter_model, filter_rows, level_filter, support_requirements,
     validate_rows,
 )
-from modalcube.formula import closure, instantiate, parse
+from modalcube.formula import Box, children, closure, instantiate, parse
 from modalcube.kripke import oracle_decide
 from modalcube.logics import axioms, lookup
 
@@ -150,6 +150,39 @@ def test_decide_matches_bruteforce_reference_on_random_goals(logic_name):
         got = decide(logic, [], goal).valid
         want = ref.decide(logic_name, clo.formulas, [], goal)
         assert got == want, str(goal)
+
+
+def _modal_depth(f):
+    if isinstance(f, Box):
+        return 1 + _modal_depth(f.operand)
+    return max(map(_modal_depth, children(f)), default=0)
+
+
+def test_filtered_rows_lie_in_every_level(logic_name):
+    """Levels only approximate the greatest fixpoint from above: every row
+    the support filter keeps lies in each tautology level up to the modal
+    depth plus one (compared as row bytes, outside the kernels)."""
+    logic = lookup(logic_name)
+    for goal in _random_goals(11, 100, depth=3):   # at most 3568 rows
+        levels = level_filter(logic, closure([goal]), _modal_depth(goal) + 1)
+        kept = {row.tobytes() for row in filter_rows(logic, levels[0])[0]}
+        for level in levels:
+            assert kept <= {row.tobytes() for row in level}, str(goal)
+
+
+# VALID, yet levels md and md + 1 still hold these many rows refuting the goal
+@pytest.mark.parametrize("name,text,refuting", [
+    ("K4", "[](p -> q) -> ([][]p -> [][]q)", 72),
+    ("K5", "[]<>q -> [][]<>q", 6),
+])
+def test_levels_are_strictly_weaker_than_the_filter(name, text, refuting):
+    logic, goal = lookup(name), parse(text)
+    clo = closure([goal])
+    levels = level_filter(logic, clo, _modal_depth(goal) + 1)
+    col = clo.position(goal)
+    assert decide(logic, [], goal).valid
+    assert [int((~values.in_mask(logic.designated_mask, level[:, col])).sum())
+            for level in levels[-2:]] == [refuting, refuting]
 
 
 @settings(max_examples=30, deadline=None)
