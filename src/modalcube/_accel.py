@@ -16,31 +16,35 @@ classes (`Signatures`), one bitset of ceil(T / 64) words per signature.
 bitset of classes whose value there lies in the mask; a signature's row of
 `compat` is the AND of its m bitsets, S * m * ceil(T / 64) word ANDs.
 
-A support-filter round packs 2m bitsets over classes: per position, the
-classes where some alive row holds a designated value, and those where one
+A row's obligations depend on it only through its signature too: bit i of
+`need`, uint64[S, ceil(2m / 64)], says the mask at position i holds a
+designated value, bit m + i an undesignated one.  So rows of a signature
+live or die together, and the fixpoint is a boolean over the S signatures.
+A round packs 2m bitsets over classes: per position, the classes where a
+row of an alive signature holds a designated value, and those where one
 holds an undesignated value.  Nothing per row and position is stored for
 it: `Signatures` keeps each row's signature `inverse` and class `target`,
 the caller's `rows`, and per value `undesignated_offset`, 0 or m * width
-(width = 64 * ceil(T / 64)).  A round sets, a chunk of alive rows v at a
-time, the flat bits `undesignated_offset[rows[v, i]] + i * width +
-target[v]` in intp.  A signature has a designated (undesignated)
-witness at a position exactly when its `compat` row ANDed with that bitset
-is nonzero.  A row's obligations are 2m bits, `obligations(rows, P_MASK,
-PN_MASK)`: the positions whose value is in P, then those whose value is in
-PN.  A row survives when its signature meets every bit of its `need`.  The
-compatibility matrix reads `compat[sig(v), class(w)]`, through an S x n
-table no larger than its n x n result.  Bitsets are packed bytes viewed as
-uint64 words, so every test is a word AND and nothing is counted that could
-overflow.
+(width = 64 * ceil(T / 64)).  A round sets, a chunk of rows at a time, the
+flat bits `undesignated_offset[rows[v, i]] + i * width + target[v]` of
+each row v of an alive signature, in intp.  A signature meets a bit of its
+`need` when its `compat` row ANDed with that bitset is nonzero, and stays
+alive when it meets them all.  The compatibility matrix reads
+`compat[sig(v), class(w)]`, through an S x n table no larger than its n x n
+result.  Bitsets are packed bytes viewed as uint64 words, so every test is
+a word AND and nothing is counted that could overflow.
 
 Why this is exact.  A value x in P needs a successor whose value lies in
 `allowed[x]` and is designated; a value in PN needs one whose value lies in
 `allowed[x]` and is undesignated.  A compatible successor's value always
 lies in `allowed[x]`, so the designated and undesignated bitsets answer
-that question row for row, with no arithmetic.  These witness sets are
-nonempty for every admissible value (a test pins it in all 15 logics), so
-the bits also agree with the row-by-row references, which skip a position
-whose witness set is empty.
+that question row for row, with no arithmetic.  By necessitation the
+obligations are read off the mask: P is the complement of I and PN that of
+N, and N needs D while I needs Dc, so a value outside P (PN) allows no
+designated (undesignated) successor; and a test pins in all 15 logics that
+every admissible value in P (PN) allows one.  So `need` holds exactly the
+bits of the paper's witness sets, none of them empty, which is what the
+row-by-row references check.
 """
 
 from __future__ import annotations
@@ -115,21 +119,19 @@ def _members(mask: int) -> np.ndarray:
 
 def obligations(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """uint64[n, ceil(2m / 64)]: bit i says the value at position i is in
-    the mask `lo`, bit m + i that it is in `hi`.
-    `obligations(rows, P_MASK, PN_MASK)` is each row's `need`."""
+    the mask `lo`, bit m + i that it is in `hi`.  `frame_relation` reads
+    what each row needs and offers this way, on a table whose n x n
+    relation is already built."""
     n, m = rows.shape
-    lo, hi = _members(lo), _members(hi)
-    out = np.empty((n, -(-2 * m // 64)), dtype=np.uint64)
-    for c in _chunks(n, 64 * out.shape[1]):
-        flags = _padded(c.stop - c.start, 2 * m)
-        flags[:, :m] = lo[rows[c]]
-        flags[:, m:2 * m] = hi[rows[c]]
-        out[c] = _words(flags)
-    return out
+    flags = _padded(n, 2 * m)
+    flags[:, :m] = _members(lo)[rows]
+    flags[:, m:2 * m] = _members(hi)[rows]
+    return _words(flags)
 
 
 class Signatures(NamedTuple):
     compat: np.ndarray   # uint64[S, ceil(T / 64)]: bit t says class t may follow s
+    need: np.ndarray     # uint64[S, ceil(2m / 64)]: the round bits s must meet
     inverse: np.ndarray  # intp[n]: the signature of each row
     target: np.ndarray   # intp[n]: the class of each row
     classes: int         # T
@@ -150,6 +152,12 @@ def signatures(rows: np.ndarray, allowed: np.ndarray, designated: int) -> Signat
     classes, words = key.shape[0], -(-key.shape[0] // 64)
     _check_work(f"compatibility of {sig.shape[0]} signatures and {classes} classes",
                 sig.shape[0] * words * 8)
+    # a round's bits, and `need`'s: per position the designated half, then the other
+    offset = (~_members(designated)).astype(np.intp) * (m * 64 * words)
+    need = _padded(sig.shape[0], 2 * m)
+    need[:, :m] = sig & designated != 0
+    need[:, m:2 * m] = sig & ~np.uint8(designated) != 0
+    need = _words(need)
     # table[k * m + i]: the classes whose value at position i lies in mask k,
     # read off the key's bits (K masks, packed per position)
     per_class = np.unpackbits(key, axis=1).reshape(classes, m, -1)[:, :, :masks.size]
@@ -162,37 +170,33 @@ def signatures(rows: np.ndarray, allowed: np.ndarray, designated: int) -> Signat
     compat = np.empty((sig.shape[0], words), dtype=np.uint64)
     for s in _chunks(sig.shape[0], m * words * 8):
         compat[s] = np.bitwise_and.reduce(table[index[s]], axis=1)
-    # a round's bits: the designated bitsets per position, then the undesignated ones
-    offset = (~_members(designated)).astype(np.intp) * (m * 64 * words)
-    return Signatures(compat, inverse, target, classes, rows, offset)
+    return Signatures(compat, need, inverse, target, classes, rows, offset)
 
 
-def support_filter_round(sigs: Signatures, alive, need):
-    """One deletion round: rows of `alive` whose `need` bits stay met.
+def support_filter_round(sigs: Signatures, alive):
+    """One deletion round over signatures: those of `alive` whose `need`
+    bits stay met.
 
-    A signature meets a bit when some alive row of a class compatible with
-    it holds a value of that position and designation.
+    A signature meets a bit when some row of an alive signature, of a class
+    compatible with it, holds a value of that position and designation.
     """
     n, m = sigs.rows.shape
     width = 64 * sigs.compat.shape[1]
     held = np.zeros((2 * m, width), dtype=bool)
     base = np.arange(m, dtype=np.intp) * width
     for c in _chunks(n, 8 * m):
-        v = np.flatnonzero(alive[c]) + c.start
+        v = np.flatnonzero(alive[sigs.inverse[c]]) + c.start
         bit = sigs.undesignated_offset[sigs.rows[v]]
         bit += base
         bit += sigs.target[v, None]
         held.reshape(-1)[bit] = True
     held = _words(held)
-    # a signature without alive rows meets nothing: its rows stay deleted
-    live = np.flatnonzero(np.bincount(sigs.inverse[alive], minlength=sigs.compat.shape[0]))
-    met = _padded(sigs.compat.shape[0], 2 * m)
+    live = np.flatnonzero(alive)
+    met = _padded(alive.size, 2 * m)
     for s in _chunks(live.size, held.nbytes):
         met[live[s], :2 * m] = np.bitwise_or.reduce(sigs.compat[live[s], None, :] & held,
                                                     axis=2) != 0
-    unmet = np.take(~_words(met), sigs.inverse, axis=0)
-    unmet &= need
-    return alive & ~unmet.any(axis=1)
+    return alive & ~(sigs.need & ~_words(met)).any(axis=1)
 
 
 def compat_matrix(rows, allowed):

@@ -27,7 +27,6 @@ from .values import in_mask, mask_of
 
 ROW_CAP_DEFAULT = 2_000_000
 
-_BITS = np.arange(8, dtype=np.uint8)
 _SINGLE_VALUE = np.full(256, 255, dtype=np.uint8)
 for _v in range(8):
     _SINGLE_VALUE[1 << _v] = _v
@@ -80,10 +79,10 @@ def allowed_successors(logic: Logic, v: int) -> int:
 
 @cache
 def _requirement_masks(logic: Logic) -> tuple[np.ndarray, np.ndarray]:
-    """Per value: the designated-side and non-designated-side witness masks."""
+    """Per value: the designated-side and non-designated-side witness masks,
+    its allowed successors split by designation."""
     allowed = _allowed_masks(logic)
-    return ((allowed & logic.designated_mask) * in_mask(values.P_MASK, _BITS),
-            (allowed & logic.nondesignated_mask) * in_mask(values.PN_MASK, _BITS))
+    return allowed & logic.designated_mask, allowed & logic.nondesignated_mask
 
 
 def support_requirements(logic: Logic, v: int) -> list[int]:
@@ -91,16 +90,12 @@ def support_requirements(logic: Logic, v: int) -> list[int]:
 
     A value that claims possibility needs a successor designating the
     formula; one that claims refutability needs a successor that does not.
-    Both sets are already intersected with the allowed-successor mask.
+    Necessitation makes these the nonempty sides of its allowed successors:
+    N needs D and I needs Dc, so a value has a designated (undesignated)
+    allowed successor exactly when it is in P (PN).
     """
     _check_admissible(logic, v)
-    preq, pnreq = _requirement_masks(logic)
-    out = []
-    if values.member(v, "P"):
-        out.append(int(preq[v]))
-    if values.member(v, "PN"):
-        out.append(int(pnreq[v]))
-    return out
+    return [int(r[v]) for r in _requirement_masks(logic) if r[v]]
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +217,15 @@ def filter_rows(logic: Logic, rows: np.ndarray) -> tuple[np.ndarray, int]:
     if rows.shape[0] == 0:
         return rows, 0
     sigs = signatures(rows, _allowed_masks(logic), logic.designated_mask)
-    need = obligations(rows, values.P_MASK, values.PN_MASK)
-    alive = np.ones(rows.shape[0], dtype=bool)
+    alive = np.ones(sigs.compat.shape[0], dtype=bool)
     iterations = 0
     while True:
-        keep = support_filter_round(sigs, alive, need)
+        keep = support_filter_round(sigs, alive)
         if keep.sum() == alive.sum():
             break
         alive = keep
         iterations += 1
-    return rows[alive], iterations
+    return rows[alive[sigs.inverse]], iterations
 
 
 @dataclass

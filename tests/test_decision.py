@@ -211,10 +211,11 @@ def test_support_requirements_match_reference(logic_name):
 
 
 def test_witness_masks_are_nonempty_on_exactly_p_and_pn_values(logic_name):
-    """Every admissible P value allows a designated successor, and every
-    admissible PN value an undesignated one.  So the filter's obligation bits,
-    membership of the value in P and in PN, are set exactly where the
-    value's witness mask is nonempty."""
+    """An admissible value allows a designated successor exactly when it is
+    in P, and an undesignated one exactly when it is in PN: the witness masks
+    are the allowed successors split by designation, and both directions
+    hold.  So the filter's obligation bits, read off a signature's successor
+    masks, are membership of the row's value in P and in PN."""
     logic = lookup(logic_name)
     preq, pnreq = _requirement_masks(logic)
     assert set(np.flatnonzero(preq)) == set(values.values_in(logic.values_mask & values.P_MASK))
@@ -321,9 +322,17 @@ def test_filter_rows_exact_with_many_witnesses(name, text, enumerated, survivors
     assert (rows.shape[0], kept.shape[0], iterations) == (enumerated, survivors, rounds)
 
 
+def _signature_count(logic, rows):
+    return signatures(rows, _allowed_masks(logic), logic.designated_mask).compat.shape[0]
+
+
 def _kernel_round(logic, rows, alive):
+    """A kernel round from the alive signatures `alive`, checked against the
+    row-by-row loop on the rows of those signatures."""
     sigs = signatures(rows, _allowed_masks(logic), logic.designated_mask)
-    return support_filter_round(sigs, alive, obligations(rows, values.P_MASK, values.PN_MASK))
+    arow, bits, preq, pnreq = _kernel_inputs(logic, rows)
+    got = support_filter_round(sigs, alive)[sigs.inverse]
+    assert np.array_equal(got, _exact_round(arow, bits, alive[sigs.inverse], preq, pnreq))
 
 
 def _exact_round(arow, bits, alive, preq, pnreq):
@@ -352,14 +361,11 @@ def test_kernels_match_row_by_row_loop(name, text):
     logic = lookup(name)
     rows = enumerate_rows(logic, closure([parse(text)]))
     assert rows.shape[0] > 256
-    arow, bits, preq, pnreq = _kernel_inputs(logic, rows)
+    arow, bits, _, _ = _kernel_inputs(logic, rows)
+    s = _signature_count(logic, rows)
     rng = np.random.default_rng(0)
-    for alive in (np.ones(rows.shape[0], dtype=bool),
-                  rng.random(rows.shape[0]) < 0.8,
-                  rng.random(rows.shape[0]) < 0.95):
-        got = _kernel_round(logic, rows, alive)
-        want = _exact_round(arow, bits, alive, preq, pnreq)
-        assert np.array_equal(got, want)
+    for alive in (np.ones(s, dtype=bool), rng.random(s) < 0.8, rng.random(s) < 0.95):
+        _kernel_round(logic, rows, alive)
     want = np.array([((arow[v] & bits) != 0).all(axis=1) for v in range(rows.shape[0])])
     assert np.array_equal(compat_matrix(rows, _allowed_masks(logic)), want)
 
@@ -392,9 +398,10 @@ def test_compatibility_is_stored_per_signature_and_target_class(name, text, size
     # the words (in KDB as many as the table's 480 x 8 entries) and the
     # caller's table, no field holds more than n entries
     assert sigs.compat.shape == (s, -(-t // 64)) and sigs.compat.dtype == np.uint64
+    assert sigs.need.shape == (s, -(-2 * rows.shape[1] // 64))
     assert sigs.target.shape == sigs.inverse.shape == (n,)
     assert sigs.rows is rows and all(np.size(v) <= n for k, v in sigs._asdict().items()
-                                     if k not in ("compat", "rows"))
+                                     if k not in ("compat", "need", "rows"))
     want = np.array([((arow[v] & bits) != 0).all(axis=1) for v in range(n)])
     assert np.array_equal(compat_matrix(rows, _allowed_masks(logic)), want)
     assert np.array_equal(build_relation(logic, rows), want)
@@ -439,19 +446,16 @@ def _k_table():
 
 
 def _check_kernels_on_subtable(logic, rows, count):
-    arow, bits, preq, pnreq = _kernel_inputs(logic, rows)
     rng = np.random.default_rng(count)
-    alive = np.zeros(rows.shape[0], dtype=bool)
-    alive[rng.choice(rows.shape[0], count, replace=False)] = True
-    got = _kernel_round(logic, rows, alive)
-    assert np.array_equal(got, _exact_round(arow, bits, alive, preq, pnreq))
+    sub = np.sort(rng.choice(rows.shape[0], count, replace=False))
+    s = _signature_count(logic, rows)
+    alive = np.zeros(s, dtype=bool)
+    alive[rng.choice(s, min(count, s), replace=False)] = True
+    _kernel_round(logic, rows, alive)
     # a table of `count` rows, all alive
-    sub = np.flatnonzero(alive)
     rows = rows[sub]
-    arow, bits, preq, pnreq = _kernel_inputs(logic, rows)
-    alive = np.ones(count, dtype=bool)
-    got = _kernel_round(logic, rows, alive)
-    assert np.array_equal(got, _exact_round(arow, bits, alive, preq, pnreq))
+    _kernel_round(logic, rows, np.ones(_signature_count(logic, rows), dtype=bool))
+    arow, bits, _, _ = _kernel_inputs(logic, rows)
     want = np.array([((arow[v] & bits) != 0).all(axis=1) for v in range(count)])
     assert np.array_equal(compat_matrix(rows, _allowed_masks(logic)), want)
 
@@ -477,8 +481,8 @@ def test_kernels_same_under_tiny_chunks(monkeypatch):
     relation = build_relation(logic, kept)
     assert rounds == 1 and kept.shape[0] < rows.shape[0]
     # 32 bytes per temporary: one signature per block of compatibility words
-    # and of round tests, one row per block of round bits and obligations,
-    # one output row per chunk of the compatibility matrix
+    # and of round tests, one row per block of round bits, one output row per
+    # chunk of the compatibility matrix
     monkeypatch.setattr(_accel, "_CHUNK_BYTES", 32)
     again, again_rounds = filter_rows(logic, rows)
     assert again_rounds == rounds and np.array_equal(again, kept)
@@ -492,11 +496,14 @@ def test_swapped_obligation_halves_are_caught():
             lookup("KDB"), closure([parse("[](p -> q) -> ([]p -> []q)")])))):
         arow, bits, preq, pnreq = _kernel_inputs(logic, rows)
         sigs = signatures(rows, _allowed_masks(logic), logic.designated_mask)
-        alive = np.ones(rows.shape[0], dtype=bool)
-        want = _exact_round(arow, bits, alive, preq, pnreq)
-        need = obligations(rows, values.P_MASK, values.PN_MASK)
-        assert np.array_equal(support_filter_round(sigs, alive, need), want)
-        swapped = support_filter_round(sigs, alive, obligations(rows, values.PN_MASK, values.P_MASK))
+        alive = np.ones(sigs.compat.shape[0], dtype=bool)
+        want = _exact_round(arow, bits, alive[sigs.inverse], preq, pnreq)
+        assert np.array_equal(support_filter_round(sigs, alive)[sigs.inverse], want)
+        m = rows.shape[1]
+        flags = np.unpackbits(sigs.need.view(np.uint8), axis=1, bitorder="little")
+        flags[:, :2 * m] = np.roll(flags[:, :2 * m], m, axis=1)
+        need = np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
+        swapped = support_filter_round(sigs._replace(need=need), alive)[sigs.inverse]
         assert not np.array_equal(swapped, want)
 
 
@@ -720,6 +727,35 @@ def test_extend_preserves_relation_outside_the_pairwise_gap(logic_name):
         old = model.relation_matrix()
         new = extend_column(model, Box(f)).relation_matrix()
         assert (old & ~new).sum() == (loss if euclidean_only else 0), text
+
+
+@pytest.mark.parametrize("name", ["K5", "KD5", "K45", "KD45", "KB5", "KT45"])
+def test_euclidean_cliques_are_n_and_i_profiles(name):
+    """In a euclidean logic the values that may follow themselves are F, f,
+    t and T, and two of them follow each other exactly when they lie in the
+    same block of {F} | {f, t} | {T}.  So looped rows are mutually
+    admissible exactly when they agree, position by position, on N and on
+    I: `frame_relation`'s cliques are a partition that does not depend on
+    the order they are found in."""
+    logic = lookup(name)
+    allowed = _allowed_masks(logic)
+    looped = [v for v in range(8) if allowed[v] >> v & 1]
+    assert looped == [values.F, values.f, values.t, values.T]
+    block = {values.F: 0, values.f: 1, values.t: 1, values.T: 2}
+    for a in looped:
+        for b in looped:
+            assert bool(allowed[a] >> b & 1 and allowed[b] >> a & 1) == (block[a] == block[b])
+    if name not in ("K5", "KD5"):
+        return
+    for text in ("p", "[]p", "<>p", "[]p -> p", "[](p -> q)", "<>[]p -> []<>p",
+                 "[](p -> q) -> ([]p -> []q)", "([]p & []q) -> [](p | r)"):
+        model = filter_model(logic, closure([parse(text)]))
+        maximal = model.relation_matrix()
+        keep = np.flatnonzero(maximal.diagonal())
+        mutual = (maximal & maximal.T)[np.ix_(keep, keep)]
+        profile = obligations(model.rows[keep], values.N_MASK, values.I_MASK)
+        same = (profile[:, None, :] == profile[None, :, :]).all(axis=2)
+        assert keep.size and np.array_equal(mutual, same), text
 
 
 # sha256 of the frame relations of the euclidean logics, computed at commit

@@ -152,6 +152,27 @@ def test_decide_matches_bruteforce_reference_on_random_goals(logic_name):
         assert got == want, str(goal)
 
 
+def test_reference_fixpoint_keeps_or_drops_whole_signatures(logic_name):
+    """Rows with the same successor masks have the same obligations and the
+    same compatible successors, so the greatest fixpoint keeps or drops them
+    together.  Checked with the naive reference alone: its enumeration, its
+    filter and its successor sets."""
+    import reference as ref
+    checked = dropped = 0
+    for goal in _random_goals(31, 30):
+        rows = ref.enumerate_rows(logic_name, closure([goal]).formulas)
+        if len(rows) > 300:
+            continue
+        kept = set(ref.filter_rows(logic_name, rows))
+        fate = {}
+        for row in rows:
+            sig = tuple(ref.allowed_successors(logic_name, v) for v in row)
+            assert fate.setdefault(sig, row in kept) == (row in kept), (str(goal), row)
+        checked += 1
+        dropped += len(rows) - len(kept)
+    assert checked >= 20 and dropped > 0
+
+
 def _modal_depth(f):
     if isinstance(f, Box):
         return 1 + _modal_depth(f.operand)
