@@ -1,8 +1,8 @@
 """The row-filtering kernels: one support-filter round and the compatibility matrix.
 
-Kernels read the uint8[n, m] table `rows` of value ids and masks over the
-eight values: `allowed[x]`, the values an atom may take after a world where
-it takes x, and value sets such as the designated values.
+Kernels read the uint8[n, m] table `rows` of value ids and `allowed`, the
+eight-entry mask of values an atom may take after a world where it takes
+each value.  Designation is the fixed value sets D and Dc of `values`.
 
 Row w may follow row v when, at every closure position, w's value is allowed
 after v's.  That depends on v only through its signature `allowed[rows[v]]`,
@@ -16,34 +16,38 @@ classes (`Signatures`), one bitset of ceil(T / 64) words per signature.
 bitset of classes whose value there lies in the mask; a signature's row of
 `compat` is the AND of its m bitsets, S * m * ceil(T / 64) word ANDs.
 
-A row's obligations depend on it only through its signature too: bit i of
-`need`, uint64[S, ceil(2m / 64)], says the mask at position i holds a
-designated value, bit m + i an undesignated one.  So rows of a signature
-live or die together, and the fixpoint is a boolean over the S signatures.
-A round packs 2m bitsets over classes: per position, the classes where a
-row of an alive signature holds a designated value, and those where one
-holds an undesignated value.  Nothing per row and position is stored for
-it: `Signatures` keeps each row's signature `inverse` and class `target`,
-the caller's `rows`, and per value `undesignated_offset`, 0 or m * width
-(width = 64 * ceil(T / 64)).  A round sets, a chunk of rows at a time, the
-flat bits `undesignated_offset[rows[v, i]] + i * width + target[v]` of
-each row v of an alive signature, in intp.  A signature meets a bit of its
-`need` when its `compat` row ANDed with that bitset is nonzero, and stays
-alive when it meets them all.  The compatibility matrix reads
+A row's obligations depend on it only through its signature too: `need`,
+bool[S, 2m], says in column i that the mask at position i holds a
+designated value, in column m + i an undesignated one.  So rows of a
+signature live or die together, and the fixpoint is a boolean over the S
+signatures.  A round packs 2m bitsets over classes: per position, the
+classes where a row of an alive signature holds a designated value, and
+those where one holds an undesignated value.  Nothing per row and position
+is stored for it: `Signatures` keeps each row's signature `inverse` and
+class `target`, the caller's `rows`, and per value `undesignated_offset`,
+0 or m * width (width = 64 * ceil(T / 64)).  A round sets, a chunk of rows
+at a time, the flat bits `undesignated_offset[rows[v, i]] + i * width +
+target[v]` of each row v of an alive signature, in intp.  A signature
+meets column j of `need` (its `met`, bool[S, 2m], the same shape) when its
+`compat` row ANDed with bitset j is nonzero, and stays alive when it meets
+every column it needs.  The compatibility matrix reads
 `compat[sig(v), class(w)]`, through an S x n table no larger than its n x n
-result.  Bitsets are packed bytes viewed as uint64 words, so every test is
-a word AND and nothing is counted that could overflow.
+result.  Bitsets over classes are packed bytes viewed as uint64 words, so
+every test is a word AND and nothing is counted that could overflow.
 
 Why this is exact.  A value x in P needs a successor whose value lies in
 `allowed[x]` and is designated; a value in PN needs one whose value lies in
 `allowed[x]` and is undesignated.  A compatible successor's value always
 lies in `allowed[x]`, so the designated and undesignated bitsets answer
-that question row for row, with no arithmetic.  By necessitation the
-obligations are read off the mask: P is the complement of I and PN that of
-N, and N needs D while I needs Dc, so a value outside P (PN) allows no
-designated (undesignated) successor; and a test pins in all 15 logics that
-every admissible value in P (PN) allows one.  So `need` holds exactly the
-bits of the paper's witness sets, none of them empty, which is what the
+that question row for row, with no arithmetic.  Every `allowed[x]` lies
+inside the logic's values, whose designated ones are those in D and whose
+undesignated ones those in Dc, so D and Dc stand for the logic's sets (a
+test pins this in all 15 logics).  By necessitation the obligations are
+read off the mask: P is the complement of I and PN that of N, and N needs D
+while I needs Dc, so a value outside P (PN) allows no designated
+(undesignated) successor; and a test pins in all 15 logics that every
+admissible value in P (PN) allows one.  So `need` holds exactly the
+columns of the paper's witness sets, none of them empty, which is what the
 row-by-row references check.
 """
 
@@ -52,6 +56,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+
+from .values import D_MASK, DC_MASK
 
 # perfbench/worker.py reads these to report the kernel; only the numpy one exists.
 HAVE_NUMBA = USING_NUMBA = False
@@ -95,11 +101,6 @@ def _words(flags: np.ndarray) -> np.ndarray:
     return np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
 
 
-def _padded(rows: int, count: int) -> np.ndarray:
-    """A false bool array of `rows` rows, `count` columns padded to whole words."""
-    return np.zeros((rows, -(-count // 64) * 64), dtype=bool)
-
-
 def _groups(a: np.ndarray):
     """Rows of a 2-d uint8 array grouped by content: one row per group, and
     each row's group.  A table of at most 64 rows fits one word of classes
@@ -112,26 +113,9 @@ def _groups(a: np.ndarray):
     return distinct.view(np.uint8).reshape(-1, k), inverse.reshape(n)
 
 
-def _members(mask: int) -> np.ndarray:
-    """bool[8]: which values the mask holds."""
-    return mask >> _VALUES & 1 != 0
-
-
-def obligations(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """uint64[n, ceil(2m / 64)]: bit i says the value at position i is in
-    the mask `lo`, bit m + i that it is in `hi`.  `frame_relation` reads
-    what each row needs and offers this way, on a table whose n x n
-    relation is already built."""
-    n, m = rows.shape
-    flags = _padded(n, 2 * m)
-    flags[:, :m] = _members(lo)[rows]
-    flags[:, m:2 * m] = _members(hi)[rows]
-    return _words(flags)
-
-
 class Signatures(NamedTuple):
     compat: np.ndarray   # uint64[S, ceil(T / 64)]: bit t says class t may follow s
-    need: np.ndarray     # uint64[S, ceil(2m / 64)]: the round bits s must meet
+    need: np.ndarray     # bool[S, 2m]: the round bits s must meet, designated half first
     inverse: np.ndarray  # intp[n]: the signature of each row
     target: np.ndarray   # intp[n]: the class of each row
     classes: int         # T
@@ -139,9 +123,8 @@ class Signatures(NamedTuple):
     undesignated_offset: np.ndarray  # intp[8]: per value, its half of a round's bits
 
 
-def signatures(rows: np.ndarray, allowed: np.ndarray, designated: int) -> Signatures:
-    """Signatures, target classes and their packed compatibility relation;
-    `designated` is the logic's mask of designated values."""
+def signatures(rows: np.ndarray, allowed: np.ndarray) -> Signatures:
+    """Signatures, target classes and their packed compatibility relation."""
     n, m = rows.shape
     sig, inverse = _groups(allowed[rows])
     # the target key: per position, which distinct successor masks hold the
@@ -153,15 +136,12 @@ def signatures(rows: np.ndarray, allowed: np.ndarray, designated: int) -> Signat
     _check_work(f"compatibility of {sig.shape[0]} signatures and {classes} classes",
                 sig.shape[0] * words * 8)
     # a round's bits, and `need`'s: per position the designated half, then the other
-    offset = (~_members(designated)).astype(np.intp) * (m * 64 * words)
-    need = _padded(sig.shape[0], 2 * m)
-    need[:, :m] = sig & designated != 0
-    need[:, m:2 * m] = sig & ~np.uint8(designated) != 0
-    need = _words(need)
+    offset = (DC_MASK >> _VALUES & 1).astype(np.intp) * (m * 64 * words)
+    need = np.hstack([sig & D_MASK != 0, sig & DC_MASK != 0])
     # table[k * m + i]: the classes whose value at position i lies in mask k,
     # read off the key's bits (K masks, packed per position)
     per_class = np.unpackbits(key, axis=1).reshape(classes, m, -1)[:, :, :masks.size]
-    flags = _padded(masks.size * m, classes)
+    flags = np.zeros((masks.size * m, 64 * words), dtype=bool)
     flags[:, :classes] = per_class.transpose(2, 1, 0).reshape(-1, classes)
     table = _words(flags)
     rank = np.empty(256, dtype=np.intp)
@@ -192,18 +172,18 @@ def support_filter_round(sigs: Signatures, alive):
         held.reshape(-1)[bit] = True
     held = _words(held)
     live = np.flatnonzero(alive)
-    met = _padded(alive.size, 2 * m)
+    met = np.zeros_like(sigs.need)
     for s in _chunks(live.size, held.nbytes):
-        met[live[s], :2 * m] = np.bitwise_or.reduce(sigs.compat[live[s], None, :] & held,
-                                                    axis=2) != 0
-    return alive & ~(sigs.need & ~_words(met)).any(axis=1)
+        met[live[s]] = np.bitwise_or.reduce(sigs.compat[live[s], None, :] & held,
+                                            axis=2) != 0
+    return alive & ~(sigs.need & ~met).any(axis=1)
 
 
 def compat_matrix(rows, allowed):
     """Maximal successor relation: edge (v, w) iff w is admissible after v."""
     n = rows.shape[0]
     _check_work(f"relation of {n} rows", n * n)
-    sigs = signatures(rows, allowed, 0)
+    sigs = signatures(rows, allowed)
     table = np.unpackbits(sigs.compat.view(np.uint8), axis=1, count=sigs.classes,
                           bitorder="little").view(bool)
     # take, not fancy indexing: `table[:, target]` comes out column-major,

@@ -18,10 +18,9 @@ from functools import cache
 import numpy as np
 
 from . import values
-from ._accel import (WorkLimitError, compat_matrix, obligations, signatures,
-                     support_filter_round)
+from ._accel import WorkLimitError, compat_matrix, signatures, support_filter_round
 from .formula import Atom, Closure, Formula, children, closure, print_formula
-from .logics import Logic, frame_tables
+from .logics import Logic, _compose, frame_tables
 from .nmatrix import Nmatrix, _check_admissible, nmatrix
 from .values import in_mask, mask_of
 
@@ -216,7 +215,7 @@ def filter_rows(logic: Logic, rows: np.ndarray) -> tuple[np.ndarray, int]:
     """
     if rows.shape[0] == 0:
         return rows, 0
-    sigs = signatures(rows, _allowed_masks(logic), logic.designated_mask)
+    sigs = signatures(rows, _allowed_masks(logic))
     alive = np.ones(sigs.compat.shape[0], dtype=bool)
     iterations = 0
     while True:
@@ -266,39 +265,41 @@ def frame_relation(model: TableModel) -> np.ndarray:
     Without euclidean frames (axiom 5) this is the maximal relation, which
     in a filtered table already has the logic's frame properties.  With them
     the maximal relation need not be euclidean, and in a euclidean frame the
-    successors of a world form a cluster.  So the rows that may follow themselves split into
-    cliques of mutually admissible rows; a clique whose rows support each
-    other relates all of them, and every other row with an obligation points
-    into the first such clique that meets it, as far as the row admits.  The
-    cliques are tried in turn, each against all rows still left at once.
+    successors of a world form a cluster.  So the rows that may follow
+    themselves split into cliques of mutually admissible rows, which are the
+    classes of looped rows that agree on N and on I at every position.  A
+    clique whose rows support each other relates all of them, and every
+    other row with an obligation points into the first such clique (by its
+    first row) that meets it, as far as the row admits.  The cliques are
+    tried in turn, each against all rows still left at once.
     """
     maximal = model.relation_matrix()
     if "euclidean" not in model.logic.frame_props:
         return maximal
-    # the filter's obligation bits, and the same bits of what each row offers
-    # as a witness: exact for admissible successors, as in `_accel`
-    need = obligations(model.rows, values.P_MASK, values.PN_MASK)
-    offer = obligations(model.rows, model.logic.designated_mask,
-                        model.logic.nondesignated_mask)
-    looped = maximal.diagonal()
-    mutual = maximal & maximal.T & looped & looped[:, None]
+    # what each row needs (the filter's obligations: a value in P, then in
+    # PN) and what it offers as a witness, designated half first
+    rows = model.rows
+    need = np.hstack([in_mask(values.P_MASK, rows), in_mask(values.PN_MASK, rows)])
+    d = in_mask(model.logic.designated_mask, rows)
+    offer = np.hstack([d, ~d])
+    # the cliques: looped rows grouped on N/I profile, in order of first row
+    looped = np.flatnonzero(maximal.diagonal())
+    code = in_mask(values.N_MASK, rows[looped]) << 1 | in_mask(values.I_MASK, rows[looped])
+    key = code.astype(np.uint8).view(f"V{rows.shape[1]}").reshape(-1)
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    member = np.argsort(first)[:, None] == group   # bool[cliques, looped rows]
+    # keep the cliques whose rows' offers meet all that their rows need
+    offered = _compose(member.T, _compose(member, offer[looped]))
+    member = member[~_compose(member, (need[looped] & ~offered).any(axis=1))]
     rel = np.zeros_like(maximal)
-    cliques, seen = [], np.zeros(model.row_count, dtype=bool)
-    for v in np.flatnonzero(looped):
-        if seen[v]:
-            continue
-        mem = np.flatnonzero(mutual[v])
-        seen[mem] = True
-        if not (need[mem] & ~np.bitwise_or.reduce(offer[mem])).any():
-            rel[np.ix_(mem, mem)] = True
-            cliques.append(mem)
+    rel[np.ix_(looped, looped)] = (group[:, None] == group) & member.any(axis=0)
     left = np.flatnonzero(~rel.any(axis=1) & need.any(axis=1))
-    for mem in cliques:
+    for mem in (looped[m] for m in member):
         if not left.size:
             break
         # every row left at once: what its admissible clique rows offer
         sub = maximal[np.ix_(left, mem)]
-        avail = np.bitwise_or.reduce(np.where(sub[:, :, None], offer[mem], 0), axis=1)
+        avail = _compose(sub, offer[mem])
         ok = ~(need[left] & ~avail).any(axis=1)
         rel[np.ix_(left[ok], mem)] = sub[ok]
         left = left[~ok]

@@ -8,11 +8,10 @@ import pytest
 
 import reference as ref
 from modalcube import _accel, values
-from modalcube._accel import (WorkLimitError, compat_matrix, obligations, signatures,
-                              support_filter_round)
+from modalcube._accel import WorkLimitError, compat_matrix, signatures, support_filter_round
 from modalcube.decision import (
-    RowLimitError, MissingSubformulaError, _allowed_masks, _kernel_inputs, _requirement_masks,
-    allowed_successors,
+    ClosureImpossibleError, RowLimitError, MissingSubformulaError, _allowed_masks,
+    _kernel_inputs, _requirement_masks, allowed_successors,
     build_relation, decide, enumerate_rows, extend_column, filter_model, frame_relation,
     TableModel, filter_rows, level_filter, model_to_csv, model_to_json,
     model_to_json_dict, support_requirements, validate_rows,
@@ -20,6 +19,7 @@ from modalcube.decision import (
 from modalcube.formula import (
     Atom, Box, Falsum, Implies, closure, instantiate, parse, print_formula,
 )
+from modalcube.kripke import check_frame, frame_props, to_kripke
 from modalcube.logics import AXIOM_SCHEMAS, lookup
 from modalcube.nmatrix import ValueNotInLogicError, nmatrix
 from modalcube.values import in_mask, names_in, value_id
@@ -215,8 +215,14 @@ def test_witness_masks_are_nonempty_on_exactly_p_and_pn_values(logic_name):
     in P, and an undesignated one exactly when it is in PN: the witness masks
     are the allowed successors split by designation, and both directions
     hold.  So the filter's obligation bits, read off a signature's successor
-    masks, are membership of the row's value in P and in PN."""
+    masks, are membership of the row's value in P and in PN.  Every
+    successor mask lies inside the logic's values, whose designated and
+    undesignated ones are those in D and in Dc, so the filter reads
+    designation off D and Dc alone."""
     logic = lookup(logic_name)
+    assert all(int(a) | logic.values_mask == logic.values_mask for a in _allowed_masks(logic))
+    assert logic.designated_mask == logic.values_mask & values.D_MASK
+    assert logic.nondesignated_mask == logic.values_mask & values.DC_MASK
     preq, pnreq = _requirement_masks(logic)
     assert set(np.flatnonzero(preq)) == set(values.values_in(logic.values_mask & values.P_MASK))
     assert set(np.flatnonzero(pnreq)) == set(values.values_in(logic.values_mask & values.PN_MASK))
@@ -295,6 +301,28 @@ def test_filter_matches_reference(logic_name):
         assert rows_as_names(model.rows) == want, text
 
 
+# Closures of more than 32 positions, so a signature's 2m obligations pass
+# 64: long box chains, whose tables stay small enough for the reference.  A
+# round that reads only the first 64 obligations keeps 8 rows of the KT4
+# chain and 67 of the KTB one.
+@pytest.mark.parametrize("name,text,enumerated,survivors", [
+    ("KT4", "(" + "[]" * 31 + "p) -> p", 68, 6),
+    ("KTB", "<>" + "[]" * 30 + "p", 126, 66),
+    ("K5", "[]" * 32 + "p", 72, 10),
+    ("KD5", "[]" * 32 + "p", 70, 8),
+    ("KD4", "[]" * 32 + "p", 134, 72),
+], ids=["KT4-33", "KTB-35", "K5-33", "KD5-33", "KD4-33"])
+def test_filter_matches_reference_past_32_positions(name, text, enumerated, survivors):
+    logic, clo = lookup(name), closure([parse(text)])
+    assert len(clo.formulas) > 32
+    rows = enumerate_rows(logic, clo)
+    model = filter_model(logic, clo)
+    assert (rows.shape[0], model.row_count) == (enumerated, survivors)
+    assert rows_as_names(model.rows) == ref.filter_rows(name, ref.enumerate_rows(name, clo.formulas))
+    if "euclidean" in logic.frame_props:
+        assert check_frame(to_kripke(model).relation, frame_props(logic))
+
+
 def test_filter_is_idempotent(logic_name):
     model = filter_model(lookup(logic_name), closure([parse("[]p -> <>p")]))
     again, iters = filter_rows(lookup(logic_name), model.rows)
@@ -323,13 +351,13 @@ def test_filter_rows_exact_with_many_witnesses(name, text, enumerated, survivors
 
 
 def _signature_count(logic, rows):
-    return signatures(rows, _allowed_masks(logic), logic.designated_mask).compat.shape[0]
+    return signatures(rows, _allowed_masks(logic)).compat.shape[0]
 
 
 def _kernel_round(logic, rows, alive):
     """A kernel round from the alive signatures `alive`, checked against the
     row-by-row loop on the rows of those signatures."""
-    sigs = signatures(rows, _allowed_masks(logic), logic.designated_mask)
+    sigs = signatures(rows, _allowed_masks(logic))
     arow, bits, preq, pnreq = _kernel_inputs(logic, rows)
     got = support_filter_round(sigs, alive)[sigs.inverse]
     assert np.array_equal(got, _exact_round(arow, bits, alive[sigs.inverse], preq, pnreq))
@@ -390,7 +418,7 @@ def test_compatibility_is_stored_per_signature_and_target_class(name, text, size
     logic = lookup(name)
     rows = enumerate_rows(logic, closure([parse(text)]))
     arow, bits, _, _ = _kernel_inputs(logic, rows)
-    sigs = signatures(rows, _allowed_masks(logic), logic.designated_mask)
+    sigs = signatures(rows, _allowed_masks(logic))
     n, s, t = sizes
     assert rows.shape[0] == n and np.unique(arow, axis=0).shape[0] == s
     assert sigs.classes == _before_classes(logic, rows) == t
@@ -398,7 +426,7 @@ def test_compatibility_is_stored_per_signature_and_target_class(name, text, size
     # the words (in KDB as many as the table's 480 x 8 entries) and the
     # caller's table, no field holds more than n entries
     assert sigs.compat.shape == (s, -(-t // 64)) and sigs.compat.dtype == np.uint64
-    assert sigs.need.shape == (s, -(-2 * rows.shape[1] // 64))
+    assert sigs.need.shape == (s, 2 * rows.shape[1]) and sigs.need.dtype == bool
     assert sigs.target.shape == sigs.inverse.shape == (n,)
     assert sigs.rows is rows and all(np.size(v) <= n for k, v in sigs._asdict().items()
                                      if k not in ("compat", "need", "rows"))
@@ -418,7 +446,7 @@ def test_largest_closure_keeps_every_row_over_packed_classes():
     allowed = _allowed_masks(logic)
     s, t = np.unique(allowed[rows], axis=0).shape[0], _before_classes(logic, rows)
     assert (s, t) == (24301, 512)
-    assert signatures(rows, allowed, logic.designated_mask).compat.nbytes == s * -(-t // 64) * 8
+    assert signatures(rows, allowed).compat.nbytes == s * -(-t // 64) * 8
 
 
 def test_filter_memory_is_bounded_per_row():
@@ -495,14 +523,11 @@ def test_swapped_obligation_halves_are_caught():
     for logic, rows in (_k_table(), (lookup("KDB"), enumerate_rows(
             lookup("KDB"), closure([parse("[](p -> q) -> ([]p -> []q)")])))):
         arow, bits, preq, pnreq = _kernel_inputs(logic, rows)
-        sigs = signatures(rows, _allowed_masks(logic), logic.designated_mask)
+        sigs = signatures(rows, _allowed_masks(logic))
         alive = np.ones(sigs.compat.shape[0], dtype=bool)
         want = _exact_round(arow, bits, alive[sigs.inverse], preq, pnreq)
         assert np.array_equal(support_filter_round(sigs, alive)[sigs.inverse], want)
-        m = rows.shape[1]
-        flags = np.unpackbits(sigs.need.view(np.uint8), axis=1, bitorder="little")
-        flags[:, :2 * m] = np.roll(flags[:, :2 * m], m, axis=1)
-        need = np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
+        need = np.roll(sigs.need, rows.shape[1], axis=1)
         swapped = support_filter_round(sigs._replace(need=need), alive)[sigs.inverse]
         assert not np.array_equal(swapped, want)
 
@@ -753,7 +778,8 @@ def test_euclidean_cliques_are_n_and_i_profiles(name):
         maximal = model.relation_matrix()
         keep = np.flatnonzero(maximal.diagonal())
         mutual = (maximal & maximal.T)[np.ix_(keep, keep)]
-        profile = obligations(model.rows[keep], values.N_MASK, values.I_MASK)
+        profile = np.hstack([in_mask(values.N_MASK, model.rows[keep]),
+                             in_mask(values.I_MASK, model.rows[keep])])
         same = (profile[:, None, :] == profile[None, :, :]).all(axis=2)
         assert keep.size and np.array_equal(mutual, same), text
 
@@ -774,6 +800,15 @@ def test_euclidean_frame_relations_are_pinned():
             digest.update(f"{logic}|{text}|{model.row_count}|".encode()
                           + np.packbits(frame_relation(model)).tobytes())
     assert digest.hexdigest() == EUCLIDEAN_FRAME_DIGEST
+
+
+@pytest.mark.parametrize("name", ["K5", "KD5"])
+def test_frame_relation_refuses_a_row_without_a_support_clique(name):
+    """An unfiltered table of one row valued f: f is in P, and the row's one
+    clique is itself, which designates nothing."""
+    model = TableModel(lookup(name), closure([p]), np.array([[values.f]], dtype=np.uint8))
+    with pytest.raises(ClosureImpossibleError, match="^row 0 has no euclidean support clique$"):
+        frame_relation(model)
 
 
 # ---------------------------------------------------------------------------
