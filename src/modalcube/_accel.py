@@ -6,15 +6,17 @@ each value.  Designation is the fixed value sets D and Dc of `values`.
 
 Row w may follow row v when, at every closure position, w's value is allowed
 after v's.  That depends on v only through its signature `allowed[rows[v]]`,
-and on w only through its target class: per position, which of the table's
-distinct successor masks hold w's value.  Both are often far fewer than
-rows: K on 194408 rows has 24301 signatures and 512 classes, K on 7928 rows
-991 and 48.  Only in KB and KDB is nearly every row a signature and a class
-of its own.  So compatibility is a relation between S signatures and T
-classes (`Signatures`), one bitset of ceil(T / 64) words per signature.
-`signatures` builds, per position and per distinct successor mask, the
-bitset of classes whose value there lies in the mask; a signature's row of
-`compat` is the AND of its m bitsets, S * m * ceil(T / 64) word ANDs.
+and on w only through its target class: per position, the set of values
+after which w's value is allowed, `before[rows[w]]`, one of at most eight
+masks that the logic's table fixes.  Both are often far fewer than rows: K
+on 194408 rows has 24301 signatures and 512 classes, K on 7928 rows 991 and
+48.  Only in KB and KDB is nearly every row a signature and a class of its
+own.  So compatibility is a relation between S signatures and T classes
+(`Signatures`), one bitset of ceil(T / 64) words per signature.
+`signatures` builds a table indexed by value and position: the bitset of
+classes whose value at the position is allowed after the value.  A
+signature's row of `compat` is the AND of the m bitsets of its successor
+masks, each read at a value with that mask, S * m * ceil(T / 64) word ANDs.
 
 A row's obligations depend on it only through its signature too: `need`,
 bool[S, 2m], says in column i that the mask at position i holds a
@@ -23,11 +25,11 @@ signature live or die together, and the fixpoint is a boolean over the S
 signatures.  A round packs 2m bitsets over classes: per position, the
 classes where a row of an alive signature holds a designated value, and
 those where one holds an undesignated value.  Nothing per row and position
-is stored for it: `Signatures` keeps each row's signature `inverse` and
-class `target`, the caller's `rows`, and per value `undesignated_offset`,
-0 or m * width (width = 64 * ceil(T / 64)).  A round sets, a chunk of rows
-at a time, the flat bits `undesignated_offset[rows[v, i]] + i * width +
-target[v]` of each row v of an alive signature, in intp.  A signature
+is stored for it: `Signatures` has five fields, `compat`, `need`, each
+row's signature `inverse` and class `target`, and the caller's `rows`.  A
+round sets, a chunk of rows at a time, the flat bits `i * width +
+target[v]` of each row v of an alive signature, plus m * width (width = 64
+* ceil(T / 64)) where its value is undesignated, in intp.  A signature
 meets column j of `need` (its `met`, bool[S, 2m], the same shape) when its
 `compat` row ANDed with bitset j is nonzero, and stays alive when it meets
 every column it needs.  The compatibility matrix reads
@@ -68,6 +70,8 @@ WORK_LIMIT_BYTES = 1 << 30
 
 _CHUNK_BYTES = 1 << 18   # per temporary: 1 MB raised cube-queries' peak RSS by 1.5 MB
 _VALUES = np.arange(8, dtype=np.uint8)
+# per value, 1 when it is undesignated: the half of a round's bits it sets
+_UNDESIGNATED = (DC_MASK >> _VALUES & 1).astype(np.intp)
 
 
 class WorkLimitError(RuntimeError):
@@ -118,39 +122,35 @@ class Signatures(NamedTuple):
     need: np.ndarray     # bool[S, 2m]: the round bits s must meet, designated half first
     inverse: np.ndarray  # intp[n]: the signature of each row
     target: np.ndarray   # intp[n]: the class of each row
-    classes: int         # T
     rows: np.ndarray     # uint8[n, m]: the caller's table, not a copy
-    undesignated_offset: np.ndarray  # intp[8]: per value, its half of a round's bits
 
 
 def signatures(rows: np.ndarray, allowed: np.ndarray) -> Signatures:
     """Signatures, target classes and their packed compatibility relation."""
     n, m = rows.shape
     sig, inverse = _groups(allowed[rows])
-    # the target key: per position, which distinct successor masks hold the
-    # row's value (np.unique of a plain array would import numpy.ma, 10 ms)
-    masks = np.flatnonzero(np.bincount(sig.reshape(-1), minlength=256))
-    holds = np.packbits(masks >> _VALUES[:, None] & 1, axis=1)
-    key, target = _groups(holds[rows].reshape(n, -1))
+    # bit x of before[y]: y is allowed after x, so a class is keyed by the
+    # values after which its row's value is allowed, per position
+    before = np.packbits(allowed[:, None] >> _VALUES & 1, axis=0, bitorder="little")[0]
+    key, target = _groups(before[rows])
     classes, words = key.shape[0], -(-key.shape[0] // 64)
     _check_work(f"compatibility of {sig.shape[0]} signatures and {classes} classes",
                 sig.shape[0] * words * 8)
-    # a round's bits, and `need`'s: per position the designated half, then the other
-    offset = (DC_MASK >> _VALUES & 1).astype(np.intp) * (m * 64 * words)
     need = np.hstack([sig & D_MASK != 0, sig & DC_MASK != 0])
-    # table[k * m + i]: the classes whose value at position i lies in mask k,
-    # read off the key's bits (K masks, packed per position)
-    per_class = np.unpackbits(key, axis=1).reshape(classes, m, -1)[:, :, :masks.size]
-    flags = np.zeros((masks.size * m, 64 * words), dtype=bool)
-    flags[:, :classes] = per_class.transpose(2, 1, 0).reshape(-1, classes)
+    # table[x * m + i]: the classes whose value at position i is allowed after x
+    per_class = np.unpackbits(key, axis=1, bitorder="little").reshape(classes, m, 8)
+    flags = np.zeros((8 * m, 64 * words), dtype=bool)
+    flags[:, :classes] = per_class.transpose(2, 1, 0).reshape(8 * m, classes)
     table = _words(flags)
+    # a signature's mask reads the table at some value with that mask (stable
+    # values and those outside the logic have mask 0, and empty table rows)
     rank = np.empty(256, dtype=np.intp)
-    rank[masks] = np.arange(0, m * masks.size, m)
+    rank[allowed] = np.arange(0, 8 * m, m)
     index = rank[sig] + np.arange(m)
     compat = np.empty((sig.shape[0], words), dtype=np.uint64)
     for s in _chunks(sig.shape[0], m * words * 8):
         compat[s] = np.bitwise_and.reduce(table[index[s]], axis=1)
-    return Signatures(compat, need, inverse, target, classes, rows, offset)
+    return Signatures(compat, need, inverse, target, rows)
 
 
 def support_filter_round(sigs: Signatures, alive):
@@ -163,10 +163,11 @@ def support_filter_round(sigs: Signatures, alive):
     n, m = sigs.rows.shape
     width = 64 * sigs.compat.shape[1]
     held = np.zeros((2 * m, width), dtype=bool)
+    offset = _UNDESIGNATED * (m * width)
     base = np.arange(m, dtype=np.intp) * width
     for c in _chunks(n, 8 * m):
         v = np.flatnonzero(alive[sigs.inverse[c]]) + c.start
-        bit = sigs.undesignated_offset[sigs.rows[v]]
+        bit = offset[sigs.rows[v]]
         bit += base
         bit += sigs.target[v, None]
         held.reshape(-1)[bit] = True
@@ -184,12 +185,8 @@ def compat_matrix(rows, allowed):
     n = rows.shape[0]
     _check_work(f"relation of {n} rows", n * n)
     sigs = signatures(rows, allowed)
-    table = np.unpackbits(sigs.compat.view(np.uint8), axis=1, count=sigs.classes,
-                          bitorder="little").view(bool)
+    table = np.unpackbits(sigs.compat.view(np.uint8), axis=1, bitorder="little").view(bool)
     # take, not fancy indexing: `table[:, target]` comes out column-major,
     # and gathering its rows ran 10x slower
     cols = np.take(table, sigs.target, axis=1)   # the rows allowed after each signature
-    out = np.empty((n, n), dtype=bool)
-    for s in _chunks(n, n):
-        out[s] = np.take(cols, sigs.inverse[s], axis=0)
-    return out
+    return np.take(cols, sigs.inverse, axis=0)

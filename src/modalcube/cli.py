@@ -12,10 +12,11 @@ import json
 import random
 import sys
 
-from . import decision, kripke
+from . import decision, kripke, values
 from .formula import (Atom, Box, Formula, Implies, closure, land, ldia, lnot,
                       lor, parse, print_formula)
 from .logics import axioms, lookup
+from .nmatrix import nmatrix
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +106,6 @@ def _cmd_table(ns: argparse.Namespace, out) -> int:
 def _dump_connectives(logic, fmt: str, out) -> int:
     """Falsum, implication and box tables of the logic (rows are the first
     argument, columns the second, cells are value-name lists)."""
-    from . import values
-    from .nmatrix import nmatrix
-
     mat = nmatrix(logic)
     vals = values.values_in(logic.values_mask)
     names = [values.VALUE_NAMES[v] for v in vals]

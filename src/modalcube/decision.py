@@ -20,7 +20,7 @@ import numpy as np
 from . import values
 from ._accel import WorkLimitError, compat_matrix, signatures, support_filter_round
 from .formula import Atom, Closure, Formula, children, closure, print_formula
-from .logics import Logic, _compose, frame_tables
+from .logics import _VALUE_OF, Logic, _compose, frame_tables
 from .nmatrix import Nmatrix, _check_admissible, nmatrix
 from .values import in_mask, mask_of
 
@@ -201,8 +201,6 @@ def _kernel_inputs(logic: Logic, rows: np.ndarray):
 def build_relation(logic: Logic, rows: np.ndarray) -> np.ndarray:
     """Maximal successor relation: (v, w) related iff every position of w is
     allowed after the corresponding position of v."""
-    if rows.shape[0] == 0:
-        return np.zeros((0, 0), dtype=bool)
     return compat_matrix(rows, _allowed_masks(logic))
 
 
@@ -213,8 +211,6 @@ def filter_rows(logic: Logic, rows: np.ndarray) -> tuple[np.ndarray, int]:
     surviving successor can hit; returns the survivors and the number of
     rounds that deleted something.
     """
-    if rows.shape[0] == 0:
-        return rows, 0
     sigs = signatures(rows, _allowed_masks(logic))
     alive = np.ones(sigs.compat.shape[0], dtype=bool)
     iterations = 0
@@ -243,9 +239,6 @@ class TableModel:
         if self._relation is None:
             self._relation = build_relation(self.logic, self.rows)
         return self._relation
-
-    def relation_pairs(self) -> list[list[int]]:
-        return np.argwhere(self.relation_matrix()).tolist()
 
     def stable_flags(self) -> np.ndarray:
         return in_mask(values.STABLE_MASK, self.rows[:, 0])
@@ -388,7 +381,8 @@ def extend_column(model: TableModel, f: Formula) -> TableModel:
     is taken as it is.  The values of a multi-value cell agree on
     designation, so each successor's own cell says whether it designates
     `f`.  The row then takes the cell value that is in N iff every successor
-    in `frame_relation` designates `f`, and in I iff none does.
+    in `frame_relation` designates `f`, and in I iff none does: the value
+    `logics.value_at` reads off that designation and N/I profile.
 
     The rule expects a filtered model.  There every non-stable value carries
     a P or PN obligation, so every non-stable row has a successor: falsum,
@@ -422,9 +416,8 @@ def extend_column(model: TableModel, f: Formula) -> TableModel:
             designates = cells & values.D_MASK != 0
             every = ~(rel & ~designates).any(axis=1)
             some = (rel & designates).any(axis=1)
-            exact = (cells & np.where(every, values.N_MASK, ~values.N_MASK & values.ALL_MASK)
-                     & np.where(some, ~values.I_MASK & values.ALL_MASK, values.I_MASK))
-            cells = np.where(multi, exact, cells)
+            value = _VALUE_OF[designates * 4 + every * 2 + ~some]
+            cells = np.where(multi, cells & np.left_shift(1, value, dtype=np.uint8), cells)
         newcol = _SINGLE_VALUE[cells]
 
     new_rows = np.hstack([rows, newcol.reshape(-1, 1)])
@@ -488,7 +481,7 @@ def _model_payload(model: TableModel, rows, relation) -> dict:
 
 def model_to_json_dict(model: TableModel) -> dict:
     rows = [[values.VALUE_NAMES[v] for v in row] for row in model.rows]
-    return _model_payload(model, rows, model.relation_pairs())
+    return _model_payload(model, rows, np.argwhere(model.relation_matrix()).tolist())
 
 
 def model_to_json(model: TableModel) -> str:

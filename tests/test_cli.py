@@ -248,3 +248,31 @@ def test_deeply_nested_formula(goal, error):
     else:
         assert proc.returncode == 1
         assert proc.stdout.startswith("INVALID\n")
+
+
+def test_commands_never_import_numpy_ma():
+    """`np.unique` of a plain array, without `return_inverse`, imports
+    numpy.ma, about 16 ms of a CLI call.  A fresh interpreter runs each
+    command, so no other test has imported it yet.  numpy 1.x imports
+    numpy.ma inside `import numpy`, where no command can avoid it, so the
+    test is skipped there."""
+    argvs = [
+        ["decide", "[]p -> ([]q -> [](p & q))"],   # 1324 rows: `_groups` sorts
+        ["table", "--format", "json", "[]p -> ([]q -> [](p & q))"],
+        ["model", "--logic", "K5", "[][]p -> <>(q -> []r)"],
+        ["oracle", "[]p -> p"],
+        ["xcheck", "--count", "5"],
+        ["table", "--level", "2", "[]p -> [][]p"],
+    ]
+    script = ("import io, sys\n"
+              "import numpy\n"
+              "print('numpy.ma' in sys.modules)\n"
+              "from modalcube.cli import main\n"
+              f"print([main(a, out=io.StringIO(), err=io.StringIO()) for a in {argvs!r}])\n"
+              "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(modalcube.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    if proc.stdout.startswith("True\n"):
+        pytest.skip("numpy imports numpy.ma on `import numpy`")
+    assert proc.stdout == "False\n[0, 0, 0, 1, 0, 0]\nFalse\n", proc.stderr

@@ -421,7 +421,7 @@ def test_compatibility_is_stored_per_signature_and_target_class(name, text, size
     sigs = signatures(rows, _allowed_masks(logic))
     n, s, t = sizes
     assert rows.shape[0] == n and np.unique(arow, axis=0).shape[0] == s
-    assert sigs.classes == _before_classes(logic, rows) == t
+    assert sigs.target.max() + 1 == _before_classes(logic, rows) == t
     # S * ceil(T / 64) words, and per row only its signature and class: past
     # the words (in KDB as many as the table's 480 x 8 entries) and the
     # caller's table, no field holds more than n entries
@@ -509,12 +509,22 @@ def test_kernels_same_under_tiny_chunks(monkeypatch):
     relation = build_relation(logic, kept)
     assert rounds == 1 and kept.shape[0] < rows.shape[0]
     # 32 bytes per temporary: one signature per block of compatibility words
-    # and of round tests, one row per block of round bits, one output row per
-    # chunk of the compatibility matrix
+    # and of round tests, one row per block of round bits
     monkeypatch.setattr(_accel, "_CHUNK_BYTES", 32)
     again, again_rounds = filter_rows(logic, rows)
     assert again_rounds == rounds and np.array_equal(again, kept)
     assert np.array_equal(build_relation(logic, kept), relation)
+
+
+# no enumerated closure is empty, so only a caller's own table can be
+@pytest.mark.parametrize("m", [1, 3, 40])
+def test_kernels_accept_an_empty_table(logic_name, m):
+    logic = lookup(logic_name)
+    rows = np.zeros((0, m), dtype=np.uint8)
+    kept, rounds = filter_rows(logic, rows)
+    assert kept.shape == (0, m) and rounds == 0
+    relation = build_relation(logic, rows)
+    assert relation.shape == (0, 0) and relation.dtype == bool
 
 
 def test_swapped_obligation_halves_are_caught():
