@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -244,12 +244,16 @@ class TableModel:
         return in_mask(values.STABLE_MASK, self.rows[:, 0])
 
 
+def _filtered(logic: Logic, clo: Closure, rows: np.ndarray) -> TableModel:
+    """The model that filtering the enumerated `rows` leaves."""
+    kept, iterations = filter_rows(logic, rows)
+    return TableModel(logic, clo, kept, iterations)
+
+
 def filter_model(logic: Logic, clo: Closure, row_cap: int = ROW_CAP_DEFAULT) -> TableModel:
     """Enumerate and filter; the result is the union of all models over the
     closure, so membership in it decides membership in some model."""
-    rows = enumerate_rows(logic, clo, row_cap)
-    kept, iterations = filter_rows(logic, rows)
-    return TableModel(logic, clo, kept, iterations)
+    return _filtered(logic, clo, enumerate_rows(logic, clo, row_cap))
 
 
 def frame_relation(model: TableModel) -> np.ndarray:
@@ -307,42 +311,72 @@ def frame_relation(model: TableModel) -> np.ndarray:
 
 @dataclass
 class Verdict:
+    """A consequence verdict over the enumerated `rows` of `closure`.
+
+    `model` is the filtered table, built from `rows` on its first read.
+    `decide` reads it only when some enumerated row refutes the goal, so a
+    VALID verdict whose model nobody reads may never run the filter, and
+    reading it may then raise `WorkLimitError`.  `witness_index` is a row
+    of `model`.
+    """
     valid: bool
-    model: TableModel
+    logic: Logic = field(repr=False)
+    closure: Closure = field(repr=False)
+    rows: np.ndarray = field(repr=False, compare=False)
     goal: Formula
     assumptions: tuple[Formula, ...]
     witness_index: int | None = None
 
+    @cached_property
+    def model(self) -> TableModel:
+        return _filtered(self.logic, self.closure, self.rows)
+
     def witness(self) -> dict[str, str] | None:
         if self.witness_index is None:
             return None
-        clo = self.model.closure
         row = self.model.rows[self.witness_index]
         return {print_formula(f, resugar=True): values.VALUE_NAMES[v]
-                for f, v in zip(clo.formulas, row)}
+                for f, v in zip(self.closure.formulas, row)}
 
     def __str__(self) -> str:
         return "VALID" if self.valid else "INVALID"
+
+
+@cache
+def _designates(logic: Logic) -> tuple[np.ndarray, np.ndarray]:
+    """bool[8] per value: designated in the logic, and not."""
+    d = in_mask(logic.designated_mask, np.arange(8))
+    return d, ~d
+
+
+def _refuting(logic: Logic, clo: Closure, rows: np.ndarray,
+              assumptions: tuple[Formula, ...], goal: Formula) -> np.ndarray:
+    """Per row: it designates every assumption and not the goal."""
+    d, nd = _designates(logic)
+    bad = nd.take(rows[:, clo.position(goal)])
+    for a in assumptions:
+        bad &= d.take(rows[:, clo.position(a)])
+    return bad
 
 
 def decide(logic: Logic, assumptions, goal: Formula,
            row_cap: int = ROW_CAP_DEFAULT) -> Verdict:
     """Consequence check over the filtered model of the combined closure.
 
-    INVALID verdicts carry the first (in row order) surviving row that
-    designates every assumption but not the goal.
+    Filtering only deletes rows, so when no enumerated row refutes the goal
+    (designates every assumption but not the goal) the verdict is VALID
+    without filtering.  Otherwise the filtered model decides: INVALID
+    verdicts carry its first (in row order) refuting row.
     """
     assumptions = tuple(assumptions)
     clo = closure(assumptions + (goal,))
-    model = filter_model(logic, clo, row_cap)
-    dmask = logic.designated_mask
-    bad = ~in_mask(dmask, model.rows[:, clo.position(goal)])
-    for a in assumptions:
-        bad &= in_mask(dmask, model.rows[:, clo.position(a)])
-    hits = np.flatnonzero(bad)
-    if hits.size:
-        return Verdict(False, model, goal, assumptions, int(hits[0]))
-    return Verdict(True, model, goal, assumptions)
+    rows = enumerate_rows(logic, clo, row_cap)
+    verdict = Verdict(True, logic, clo, rows, goal, assumptions)
+    if _refuting(logic, clo, rows, assumptions, goal).any():
+        hits = np.flatnonzero(_refuting(logic, clo, verdict.model.rows, assumptions, goal))
+        if hits.size:
+            verdict.valid, verdict.witness_index = False, int(hits[0])
+    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,14 @@ def test_row_cap_exit_two():
 def test_work_limit_exit_two(monkeypatch):
     from modalcube import _accel
     monkeypatch.setattr(_accel, "WORK_LIMIT_BYTES", 100)
-    code, out, err = run(["decide", "--logic", "KB", "[](p -> q) -> ([]p -> []q)"])
+    # refuting rows exist, so the verdict needs the filter
+    code, out, err = run(["decide", "--logic", "KB", "[]p -> p"])
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"error: compatibility of 15 signatures and 15 classes needs 120 "
+                        r"bytes, over the work limit of 100 bytes\n", err)
+    # a theorem is VALID unfiltered, but its json prints the filtered model
+    code, out, err = run(["decide", "--logic", "KB", "--format", "json",
+                          "[](p -> q) -> ([]p -> []q)"])
     assert code == 2 and out == ""
     assert re.fullmatch(r"error: compatibility of 481 signatures and 481 classes needs 30784 "
                         r"bytes, over the work limit of 100 bytes\n", err)

@@ -1,14 +1,16 @@
 import hashlib
 import json
 import os
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference as ref
-from modalcube import _accel, values
+from modalcube import _accel, decision, values
 from modalcube._accel import WorkLimitError, compat_matrix, signatures, support_filter_round
+from modalcube.cli import random_formula
 from modalcube.decision import (
     ClosureImpossibleError, RowLimitError, MissingSubformulaError, _allowed_masks,
     _kernel_inputs, _requirement_masks, allowed_successors,
@@ -20,7 +22,7 @@ from modalcube.formula import (
     Atom, Box, Falsum, Implies, closure, instantiate, parse, print_formula,
 )
 from modalcube.kripke import check_frame, frame_props, to_kripke
-from modalcube.logics import AXIOM_SCHEMAS, lookup
+from modalcube.logics import AXIOM_SCHEMAS, all_logics, lookup
 from modalcube.nmatrix import ValueNotInLogicError, nmatrix
 from modalcube.values import in_mask, names_in, value_id
 
@@ -602,6 +604,61 @@ def test_decide_witness_is_first_and_consistent():
     gi = model.closure.position(parse("[]p -> p"))
     bad = np.flatnonzero(~values.in_mask(model.logic.designated_mask, model.rows[:, gi]))
     assert verdict.witness_index == bad[0]
+
+
+def _never_filter(logic, rows):
+    raise AssertionError("filter_rows called")
+
+
+def test_decide_never_filters_without_a_refuting_row(monkeypatch, logic_name):
+    logic = lookup(logic_name)
+    monkeypatch.setattr(decision, "filter_rows", _never_filter)
+    for text in ("p -> p", "[](p -> q) -> ([]p -> []q)"):
+        assert decide(logic, [], parse(text)).valid, text
+    assert decide(logic, [parse("[]p"), parse("[](p -> q)")], parse("[]q")).valid
+    with pytest.raises(AssertionError, match="filter_rows called"):
+        decide(logic, [], parse("p"))
+
+
+def test_decide_matches_the_filtered_model():
+    """Verdict, witness and model are those read off `filter_model`, whether
+    `decide` filtered before answering or answered VALID without it."""
+    paths = {"early VALID": 0, "filtered VALID": 0, "INVALID": 0}
+    for logic in all_logics():
+        rng = random.Random(logic.name)
+        for k in range(20):
+            goal = random_formula(rng, rng.randint(2, 4), ["p", "q"])
+            assumptions = [random_formula(rng, rng.randint(1, 2), ["p", "q"])
+                           for _ in range(k % 2)]
+            verdict = decide(logic, assumptions, goal)
+            early = "model" not in vars(verdict)
+            model = filter_model(logic, closure(tuple(assumptions) + (goal,)))
+            dmask = logic.designated_mask
+            bad = ~in_mask(dmask, model.rows[:, model.closure.position(goal)])
+            for a in assumptions:
+                bad &= in_mask(dmask, model.rows[:, model.closure.position(a)])
+            hits = np.flatnonzero(bad)
+            want = int(hits[0]) if hits.size else None
+            assert (verdict.valid, verdict.witness_index) == (want is None, want)
+            assert np.array_equal(verdict.model.rows, model.rows)
+            assert verdict.model.iterations == model.iterations
+            assert verdict.model.closure == model.closure
+            assert verdict.witness() == (None if want is None else dict(zip(
+                (print_formula(f, resugar=True) for f in model.closure.formulas),
+                (values.VALUE_NAMES[v] for v in model.rows[want]))))
+            paths["INVALID" if want is not None else
+                  "early VALID" if early else "filtered VALID"] += 1
+    assert min(paths.values()) > 0, paths
+
+
+def test_verdict_repr_leaves_the_model_unfiltered(monkeypatch):
+    verdict = decide(lookup("KB"), [], parse("[](p -> q) -> ([]p -> []q)"))
+    monkeypatch.setattr(decision, "filter_rows", _never_filter)
+    assert repr(verdict).startswith("Verdict(valid=True, goal=")
+    assert str(verdict) == "VALID" and verdict.witness() is None
+    assert "model" not in vars(verdict)
+    monkeypatch.undo()
+    assert verdict.model.row_count == filter_model(lookup("KB"), verdict.closure).row_count
 
 
 def test_decide_agrees_with_reference(logic_name):
