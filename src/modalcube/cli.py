@@ -76,9 +76,11 @@ def _cmd_decide(ns: argparse.Namespace, out) -> int:
         }
         print(json.dumps(payload, indent=2), file=out)
     else:
+        # the witness may need the filter, which may raise: read it before
+        # printing anything
+        row = verdict.witness()
         print(str(verdict), file=out)
-        if not verdict.valid:
-            row = verdict.witness()
+        if row is not None:
             print("witness: " + "  ".join(f"{k}={v}" for k, v in row.items()), file=out)
     return 0 if verdict.valid else 1
 

@@ -313,11 +313,14 @@ def frame_relation(model: TableModel) -> np.ndarray:
 class Verdict:
     """A consequence verdict over the enumerated `rows` of `closure`.
 
-    `model` is the filtered table, built from `rows` on its first read.
-    `decide` reads it only when some enumerated row refutes the goal, so a
-    VALID verdict whose model nobody reads may never run the filter, and
-    reading it may then raise `WorkLimitError`.  `witness_index` is a row
-    of `model`.
+    `model` is the filtered table, built from `rows` on its first read, and
+    `witness_index` is the first row of `model` that refutes the goal (None
+    for a VALID verdict), found on its first read.  `decide` filters only
+    when some enumerated row refutes the goal and none of them is a
+    one-world countermodel.  So a VALID verdict with no refuting row and an
+    INVALID one with a one-world countermodel may never run the filter, and
+    reading `model`, `witness_index` or `witness()` may then raise
+    `WorkLimitError`.
     """
     valid: bool
     logic: Logic = field(repr=False)
@@ -325,11 +328,18 @@ class Verdict:
     rows: np.ndarray = field(repr=False, compare=False)
     goal: Formula
     assumptions: tuple[Formula, ...]
-    witness_index: int | None = None
 
     @cached_property
     def model(self) -> TableModel:
         return _filtered(self.logic, self.closure, self.rows)
+
+    @cached_property
+    def witness_index(self) -> int | None:
+        if self.valid:
+            return None
+        refuting = _refuting(self.logic, self.closure, self.model.rows,
+                             self.assumptions, self.goal)
+        return int(np.flatnonzero(refuting)[0])
 
     def witness(self) -> dict[str, str] | None:
         if self.witness_index is None:
@@ -359,23 +369,47 @@ def _refuting(logic: Logic, clo: Closure, rows: np.ndarray,
     return bad
 
 
+@cache
+def _one_world(logic: Logic) -> np.ndarray:
+    """bool[8] per value of the logic: a row of such values is a one-world
+    model.
+
+    A stable value has no obligations and admits no successor, so a stable
+    row is a dead end.  Any other value qualifies when it is allowed after
+    itself and meets its own obligations: it is designated if it is in P
+    and undesignated if it is in PN.  A row of those values is then its
+    own compatible successor and supports itself, a reflexive world.
+    Either way the row alone is a self-supporting set, which lies inside
+    the greatest fixpoint.
+    """
+    v = np.arange(8)
+    d, nd = _designates(logic)
+    looped = _allowed_masks(logic) >> v & 1 == 1
+    meets = (d | ~in_mask(values.P_MASK, v)) & (nd | ~in_mask(values.PN_MASK, v))
+    return in_mask(logic.values_mask, v) & (in_mask(values.STABLE_MASK, v) | looped & meets)
+
+
 def decide(logic: Logic, assumptions, goal: Formula,
            row_cap: int = ROW_CAP_DEFAULT) -> Verdict:
     """Consequence check over the filtered model of the combined closure.
 
     Filtering only deletes rows, so when no enumerated row refutes the goal
     (designates every assumption but not the goal) the verdict is VALID
-    without filtering.  Otherwise the filtered model decides: INVALID
-    verdicts carry its first (in row order) refuting row.
+    without filtering.  A refuting row of `_one_world` values survives
+    every filter, so then the verdict is INVALID without filtering.
+    Otherwise the filtered model decides.  Either way an INVALID verdict's
+    `witness_index` is the first (in row order) refuting row of the
+    filtered model, found when it is read.
     """
     assumptions = tuple(assumptions)
     clo = closure(assumptions + (goal,))
     rows = enumerate_rows(logic, clo, row_cap)
     verdict = Verdict(True, logic, clo, rows, goal, assumptions)
-    if _refuting(logic, clo, rows, assumptions, goal).any():
-        hits = np.flatnonzero(_refuting(logic, clo, verdict.model.rows, assumptions, goal))
-        if hits.size:
-            verdict.valid, verdict.witness_index = False, int(hits[0])
+    refuting = _refuting(logic, clo, rows, assumptions, goal)
+    if refuting.any():
+        verdict.valid = not (
+            _one_world(logic).take(rows.compress(refuting, axis=0)).all(axis=1).any()
+            or _refuting(logic, clo, verdict.model.rows, assumptions, goal).any())
     return verdict
 
 

@@ -69,7 +69,7 @@ def test_row_cap_exit_two():
 def test_work_limit_exit_two(monkeypatch):
     from modalcube import _accel
     monkeypatch.setattr(_accel, "WORK_LIMIT_BYTES", 100)
-    # refuting rows exist, so the verdict needs the filter
+    # a dead end refutes it, so the verdict needs no filter, but the witness does
     code, out, err = run(["decide", "--logic", "KB", "[]p -> p"])
     assert code == 2 and out == ""
     assert re.fullmatch(r"error: compatibility of 15 signatures and 15 classes needs 120 "

@@ -21,7 +21,7 @@ from modalcube.decision import (
 from modalcube.formula import (
     Atom, Box, Falsum, Implies, closure, instantiate, parse, print_formula,
 )
-from modalcube.kripke import check_frame, frame_props, to_kripke
+from modalcube.kripke import KripkeModel, check_frame, forces, frame_props, to_kripke
 from modalcube.logics import AXIOM_SCHEMAS, all_logics, lookup
 from modalcube.nmatrix import ValueNotInLogicError, nmatrix
 from modalcube.values import in_mask, names_in, value_id
@@ -611,19 +611,24 @@ def _never_filter(logic, rows):
 
 
 def test_decide_never_filters_without_a_refuting_row(monkeypatch, logic_name):
+    """Nor when a refuting row is a one-world model: `p` has one in every
+    logic, and K `[]p -> p` a dead end.  `p -> []p` needs two worlds."""
     logic = lookup(logic_name)
     monkeypatch.setattr(decision, "filter_rows", _never_filter)
     for text in ("p -> p", "[](p -> q) -> ([]p -> []q)"):
         assert decide(logic, [], parse(text)).valid, text
     assert decide(logic, [parse("[]p"), parse("[](p -> q)")], parse("[]q")).valid
+    assert not decide(logic, [], parse("p")).valid
+    if logic_name == "K":
+        assert not decide(logic, [], parse("[]p -> p")).valid
     with pytest.raises(AssertionError, match="filter_rows called"):
-        decide(logic, [], parse("p"))
+        decide(logic, [], parse("p -> []p"))
 
 
 def test_decide_matches_the_filtered_model():
     """Verdict, witness and model are those read off `filter_model`, whether
-    `decide` filtered before answering or answered VALID without it."""
-    paths = {"early VALID": 0, "filtered VALID": 0, "INVALID": 0}
+    `decide` filtered before answering or answered without it."""
+    paths = {"early VALID": 0, "filtered VALID": 0, "early INVALID": 0, "filtered INVALID": 0}
     for logic in all_logics():
         rng = random.Random(logic.name)
         for k in range(20):
@@ -646,9 +651,69 @@ def test_decide_matches_the_filtered_model():
             assert verdict.witness() == (None if want is None else dict(zip(
                 (print_formula(f, resugar=True) for f in model.closure.formulas),
                 (values.VALUE_NAMES[v] for v in model.rows[want]))))
-            paths["INVALID" if want is not None else
-                  "early VALID" if early else "filtered VALID"] += 1
+            paths[("early " if early else "filtered ")
+                  + ("VALID" if want is None else "INVALID")] += 1
     assert min(paths.values()) > 0, paths
+
+
+def _formulas_of_size(n):
+    """Every formula over p, q and falsum built with -> and [] that has n
+    nodes: 3, 3, 12, 30 and 111 of them for n = 1 to 5."""
+    if n == 1:
+        return [p, q, Falsum()]
+    return [Box(a) for a in _formulas_of_size(n - 1)] + [
+        Implies(a, b) for k in range(1, n - 1)
+        for a in _formulas_of_size(k) for b in _formulas_of_size(n - 1 - k)]
+
+
+def _formulas_up_to(n):
+    return [f for k in range(1, n + 1) for f in _formulas_of_size(k)]
+
+
+def test_one_world_rows_lie_in_the_reference_fixpoint(logic_name):
+    """Every enumerated row of `_one_world` values survives the naive
+    reference filter, on the closures of every formula up to size 4."""
+    one_world = decision._one_world(lookup(logic_name))
+    checked = 0
+    for clo in {closure([f]) for f in _formulas_up_to(4)}:
+        rows = ref.enumerate_rows(logic_name, clo.formulas)
+        kept = set(ref.filter_rows(logic_name, rows))
+        for row in rows:
+            if all(one_world[value_id(v)] for v in row):
+                assert row in kept, (str(clo.formulas[-1]), row)
+                checked += 1
+    assert checked > 0
+
+
+def test_early_invalid_rows_are_one_world_countermodels(logic_name):
+    """Each refuting row of `_one_world` values, read as one world (looped
+    unless the row is stable, an atom true where its value is designated),
+    is a frame of the logic that forces exactly the designated closure
+    members: so the assumptions but not the goal.  Checked for every early
+    INVALID over the formulas up to size 5, and for consequences with one
+    assumption up to size 3."""
+    logic = lookup(logic_name)
+    one_world = decision._one_world(logic)
+    small = _formulas_up_to(3)
+    queries = [([], g) for g in _formulas_up_to(5)] + [([a], g) for a in small for g in small]
+    early = 0
+    for assumptions, goal in queries:
+        verdict = decide(logic, assumptions, goal)
+        if verdict.valid or "model" in vars(verdict):
+            continue
+        refuting = decision._refuting(logic, verdict.closure, verdict.rows, verdict.assumptions, goal)
+        certified = verdict.rows[refuting & one_world[verdict.rows].all(axis=1)]
+        assert certified.shape[0] > 0
+        atoms = verdict.closure.atom_positions()
+        for row in certified:
+            designated = in_mask(logic.designated_mask, row)
+            km = KripkeModel(np.array([[not in_mask(values.STABLE_MASK, row[0])]]),
+                             {name: designated[[pos]] for name, pos in atoms.items()})
+            assert check_frame(km.relation, frame_props(logic))
+            for f, want in zip(verdict.closure.formulas, designated):
+                assert forces(km, 0, f) == want, (str(goal), str(f), row)
+        early += 1
+    assert early > 0
 
 
 def test_verdict_repr_leaves_the_model_unfiltered(monkeypatch):
