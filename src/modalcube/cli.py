@@ -168,6 +168,9 @@ def _cmd_xcheck(ns: argparse.Namespace, out) -> int:
     logic = lookup(ns.logic)
     if not 1 <= ns.atoms <= 11:
         raise ValueError(f"--atoms must be between 1 and 11 (p to z), got {ns.atoms}")
+    for flag, n in (("--count", ns.count), ("--max-depth", ns.max_depth)):
+        if n < 0:
+            raise ValueError(f"{flag} must be non-negative, got {n}")
     rng = random.Random(ns.seed)
     atoms = [chr(ord("p") + i) for i in range(ns.atoms)]
     agree = refuted = unresolved = 0

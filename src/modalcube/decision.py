@@ -19,7 +19,7 @@ import numpy as np
 
 from . import values
 from ._accel import WorkLimitError, compat_matrix, signatures, support_filter_round
-from .formula import Atom, Closure, Formula, children, closure, print_formula
+from .formula import Closure, Formula, children, closure, print_formula
 from .logics import _VALUE_OF, Logic, _compose, frame_tables
 from .nmatrix import Nmatrix, _check_admissible, nmatrix
 from .values import in_mask, mask_of
@@ -352,41 +352,32 @@ class Verdict:
         return "VALID" if self.valid else "INVALID"
 
 
-@cache
-def _designates(logic: Logic) -> tuple[np.ndarray, np.ndarray]:
-    """bool[8] per value: designated in the logic, and not."""
-    d = in_mask(logic.designated_mask, np.arange(8))
-    return d, ~d
+# bool[8] per value: designated.  Rows hold only their logic's values, so
+# on them this is the logic's designated set.
+_DESIGNATED = in_mask(values.D_MASK, np.arange(8))
 
 
 def _refuting(logic: Logic, clo: Closure, rows: np.ndarray,
               assumptions: tuple[Formula, ...], goal: Formula) -> np.ndarray:
     """Per row: it designates every assumption and not the goal."""
-    d, nd = _designates(logic)
-    bad = nd.take(rows[:, clo.position(goal)])
+    bad = ~_DESIGNATED.take(rows[:, clo.position(goal)])
     for a in assumptions:
-        bad &= d.take(rows[:, clo.position(a)])
+        bad &= _DESIGNATED.take(rows[:, clo.position(a)])
     return bad
 
 
 @cache
 def _one_world(logic: Logic) -> np.ndarray:
-    """bool[8] per value of the logic: a row of such values is a one-world
-    model.
+    """bool[8] per value: the values of the logic's one-world frames, a dead
+    end where the logic allows one and a reflexive point.
 
-    A stable value has no obligations and admits no successor, so a stable
-    row is a dead end.  Any other value qualifies when it is allowed after
-    itself and meets its own obligations: it is designated if it is in P
-    and undesignated if it is in PN.  A row of those values is then its
-    own compatible successor and supports itself, a reflexive world.
-    Either way the row alone is a self-supporting set, which lies inside
-    the greatest fixpoint.
+    Rows never mix stable with non-stable values, so a row of these values
+    is the truth-table row of one such world: a stable row has no
+    obligations and no successor, and any other row is its own compatible
+    successor and witnesses its own obligations.  So the row alone is a
+    self-supporting set, which lies inside the greatest fixpoint.
     """
-    v = np.arange(8)
-    d, nd = _designates(logic)
-    looped = _allowed_masks(logic) >> v & 1 == 1
-    meets = (d | ~in_mask(values.P_MASK, v)) & (nd | ~in_mask(values.PN_MASK, v))
-    return in_mask(logic.values_mask, v) & (in_mask(values.STABLE_MASK, v) | looped & meets)
+    return in_mask(frame_tables(logic.frame_props, worlds=1).values_mask, np.arange(8))
 
 
 def decide(logic: Logic, assumptions, goal: Formula,
@@ -445,20 +436,20 @@ def extend_column(model: TableModel, f: Formula) -> TableModel:
     """Extend every row with exactly one admissible value for `f`.
 
     An atom copies the first column.  Box, implication and falsum read each
-    row's cell of `f` through the Nmatrix cell rule, and a single-value cell
-    is taken as it is.  The values of a multi-value cell agree on
-    designation, so each successor's own cell says whether it designates
-    `f`.  The row then takes the cell value that is in N iff every successor
-    in `frame_relation` designates `f`, and in I iff none does: the value
-    `logics.value_at` reads off that designation and N/I profile.
+    row's cell of `f` as `enumerate_rows` does past column 0, and a
+    single-value cell is taken as it is.  The values of a multi-value cell
+    agree on designation, so each successor's own cell says whether it
+    designates `f`.  The row then takes the cell value that is in N iff
+    every successor in `frame_relation` designates `f`, and in I iff none
+    does: the value `logics.value_at` reads off that designation and N/I
+    profile.
 
     The rule expects a filtered model.  There every non-stable value carries
-    a P or PN obligation, so every non-stable row has a successor: falsum,
-    designated by no successor, gets F on those rows and ff on stable rows,
-    which have no successors.  The choice preserves the row count, and
-    re-filtering the result deletes nothing.  Extending the empty model is
-    only defined for atoms and yields the one-column model over all
-    admissible values.
+    a P or PN obligation, so every non-stable row has a successor: falsum's
+    cell, F on those rows and ff on stable rows, which have no successors,
+    is the value the successors give.  The choice preserves the row count
+    (an empty model extends to an empty model over the extended closure),
+    and re-filtering the result deletes nothing.
     """
     logic = model.logic
     rows = model.rows
@@ -467,17 +458,12 @@ def extend_column(model: TableModel, f: Formula) -> TableModel:
             raise MissingSubformulaError(
                 f"cannot extend with {print_formula(f)}: {print_formula(sub)} missing")
 
-    if isinstance(f, Atom) and rows.shape[0] == 0:
-        vals = np.array(values.values_in(logic.values_mask), dtype=np.uint8)
-        return TableModel(logic, Closure((f,)), vals.reshape(-1, 1))
-
     clo = model.closure.extended(f)
     kind, i, j = clo.structure()[-1]
     if kind == "atom":
         newcol = rows[:, 0].copy()
     else:
-        mat = nmatrix(logic)
-        cells = _cells(mat, rows, kind, i, j, *_union_tables(logic))
+        cells = _cells(nmatrix(logic), rows, kind, i, j, *_fragment_tables(logic))
         multi = cells & (cells - 1) != 0
         if multi.any():
             rel = frame_relation(model)

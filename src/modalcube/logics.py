@@ -178,8 +178,10 @@ def frame_tables(props: frozenset[str], worlds: int = 3) -> FrameTables:
     property in `props`, over every valuation of one atom p.  One relation
     per isomorphism class is enough: the tables collect values over all
     worlds and edges, which a permutation of the worlds only relabels.
-    Three worlds give the tables exactly; two do not.  Every world gives
-    []p a value, so p takes the values with a box cell.
+    Three worlds give the tables exactly; two do not.  One world gives the
+    values of the one-world frames: a dead end where the logic allows one,
+    and a reflexive point.  Every world gives []p a value, so p takes the
+    values with a box cell.
     """
     _check_names(props)
     rels = _frame_relations(worlds, props)

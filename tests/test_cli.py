@@ -220,6 +220,15 @@ def test_xcheck_atom_count_out_of_range_exit_two(atoms):
     assert "--atoms" in err
 
 
+@pytest.mark.parametrize("flag", ["--count", "--max-depth"])
+def test_xcheck_negative_count_or_depth_exit_two(flag):
+    code, out, err = run(["xcheck", "--logic", "K", "--count", "5", flag, "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert flag in err
+
+
 def test_xcheck_accepts_atoms_up_to_z():
     code, out, _ = run(["xcheck", "--logic", "K", "--count", "5", "--max-depth", "1",
                         "--atoms", "11", "--max-worlds", "2"])

@@ -685,6 +685,22 @@ def test_one_world_rows_lie_in_the_reference_fixpoint(logic_name):
     assert checked > 0
 
 
+def test_one_world_values_are_the_self_supporting_values(logic_name):
+    """`_one_world`, read off the one-world frames, are the logic's values
+    that are stable, or allowed after themselves and designated if in P and
+    undesignated if in PN: T and F, plus tt and ff without seriality."""
+    logic = lookup(logic_name)
+    allowed = _allowed_masks(logic)
+    want = {v for v in values.values_in(logic.values_mask)
+            if values.STABLE_MASK >> v & 1
+            or (allowed[v] >> v & 1
+                and (logic.designated_mask >> v & 1 or not values.member(v, "P"))
+                and (logic.nondesignated_mask >> v & 1 or not values.member(v, "PN")))}
+    assert set(np.flatnonzero(decision._one_world(logic)).tolist()) == want
+    stable = set() if "serial" in logic.frame_props else {values.ff, values.tt}
+    assert want == {values.F, values.T} | stable
+
+
 def test_early_invalid_rows_are_one_world_countermodels(logic_name):
     """Each refuting row of `_one_world` values, read as one world (looped
     unless the row is stable, an atom true where its value is designated),
@@ -785,12 +801,45 @@ def test_level_filter_kd_drops_non_necessary_box_values():
 # ---------------------------------------------------------------------------
 
 def test_extend_empty_model_with_atom():
+    """Empty in, empty out, over the extended closure."""
     kt = lookup("KT")
     empty = filter_model(kt, closure([p]))
     empty.rows = empty.rows[:0]
     ext = extend_column(empty, q)
-    assert ext.row_count == 4
-    assert [print_formula(f) for f in ext.closure.formulas] == ["q"]
+    assert ext.rows.shape == (0, 2)
+    assert [print_formula(f) for f in ext.closure.formulas] == ["p", "q"]
+    assert extend_column(ext, Box(q)).rows.shape == (0, 3)
+
+
+def test_atom_model_holds_every_admissible_value(logic_name):
+    logic = lookup(logic_name)
+    model = filter_model(logic, closure([q]))
+    assert model.rows.tolist() == [[v] for v in values.values_in(logic.values_mask)]
+
+
+@pytest.mark.parametrize("text", ["[]p -> q", "<>p"])
+def test_extend_with_fresh_atom_copies_column_zero(logic_name, text):
+    """Column 0 of the closure of <>p is falsum."""
+    logic = lookup(logic_name)
+    model = filter_model(logic, closure([parse(text)]))
+    ext = extend_column(model, Atom("r"))
+    assert np.array_equal(ext.rows, np.hstack([model.rows, model.rows[:, :1]]))
+    assert validate_rows(logic, ext.closure, ext.rows).all()
+    kept, _ = filter_rows(logic, ext.rows)
+    assert kept.shape[0] == ext.row_count
+    assert np.array_equal(ext.relation_matrix(), model.relation_matrix())
+
+
+def test_extend_by_falsum_reads_its_fragment(monkeypatch):
+    """Falsum takes F on non-stable rows and ff on stable ones without the
+    relation, which for K's 194408 rows is over the work limit."""
+    model = filter_model(lookup("K"), closure([parse("[][][]p -> [][](q -> []r)")]))
+    assert model.row_count == 194408
+    with pytest.raises(WorkLimitError):
+        frame_relation(model)
+    monkeypatch.setattr(decision, "frame_relation", None)
+    ext = extend_column(model, Falsum())
+    assert np.array_equal(ext.rows[:, -1], np.where(model.stable_flags(), values.ff, values.F))
 
 
 def test_extend_requires_subformulas():
