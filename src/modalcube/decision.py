@@ -311,23 +311,29 @@ def frame_relation(model: TableModel) -> np.ndarray:
 
 @dataclass
 class Verdict:
-    """A consequence verdict over the enumerated `rows` of `closure`.
+    """A consequence verdict over the closure of the assumptions and goal.
 
-    `model` is the filtered table, built from `rows` on its first read, and
-    `witness_index` is the first row of `model` that refutes the goal (None
-    for a VALID verdict), found on its first read.  `decide` filters only
-    when some enumerated row refutes the goal and none of them is a
-    one-world countermodel.  So a VALID verdict with no refuting row and an
-    INVALID one with a one-world countermodel may never run the filter, and
-    reading `model`, `witness_index` or `witness()` may then raise
-    `WorkLimitError`.
+    `rows` is the closure's enumerated table, built on its first read with
+    the verdict's `row_cap`; `model` is the filtered table, built from
+    `rows` on its first read; and `witness_index` is the first row of
+    `model` that refutes the goal (None for a VALID verdict), found on its
+    first read.  `decide` enumerates only when no one-world valuation
+    refutes the goal, and filters only when moreover some enumerated row
+    does.  So a one-world INVALID verdict may never enumerate, a VALID
+    verdict with no refuting row may never filter, and reading `rows`,
+    `model`, `witness_index` or `witness()` may then raise `RowLimitError`
+    or `WorkLimitError`.
     """
     valid: bool
     logic: Logic = field(repr=False)
     closure: Closure = field(repr=False)
-    rows: np.ndarray = field(repr=False, compare=False)
     goal: Formula
     assumptions: tuple[Formula, ...]
+    row_cap: int = field(default=ROW_CAP_DEFAULT, repr=False, compare=False)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return enumerate_rows(self.logic, self.closure, self.row_cap)
 
     @cached_property
     def model(self) -> TableModel:
@@ -337,8 +343,7 @@ class Verdict:
     def witness_index(self) -> int | None:
         if self.valid:
             return None
-        refuting = _refuting(self.logic, self.closure, self.model.rows,
-                             self.assumptions, self.goal)
+        refuting = _refuting(self.closure, self.model.rows, self.assumptions, self.goal)
         return int(np.flatnonzero(refuting)[0])
 
     def witness(self) -> dict[str, str] | None:
@@ -357,7 +362,7 @@ class Verdict:
 _DESIGNATED = in_mask(values.D_MASK, np.arange(8))
 
 
-def _refuting(logic: Logic, clo: Closure, rows: np.ndarray,
+def _refuting(clo: Closure, rows: np.ndarray,
               assumptions: tuple[Formula, ...], goal: Formula) -> np.ndarray:
     """Per row: it designates every assumption and not the goal."""
     bad = ~_DESIGNATED.take(rows[:, clo.position(goal)])
@@ -375,32 +380,133 @@ def _one_world(logic: Logic) -> np.ndarray:
     is the truth-table row of one such world: a stable row has no
     obligations and no successor, and any other row is its own compatible
     successor and witnesses its own obligations.  So the row alone is a
-    self-supporting set, which lies inside the greatest fixpoint.
+    self-supporting set, which lies inside the greatest fixpoint.  Each
+    world gives a pair of values, one designated and one not: T/F at the
+    reflexive point, tt/ff at the dead end.  `_one_world_tables` reads the
+    Nmatrix over each pair.
     """
     return in_mask(frame_tables(logic.frame_props, worlds=1).values_mask, np.arange(8))
+
+
+@cache
+def _one_world_tables(logic: Logic) -> tuple[tuple[bool, tuple, tuple], ...]:
+    """The two-valued tables of each one-world pair: whether falsum is
+    designated, the designations of []'s argument whose cell is designated,
+    and the designation pairs of ->'s arguments whose cell is designated.
+
+    They are the Nmatrix cells intersected with the pair.  Each such cell
+    is one value, asserted here: a valuation of the atoms at one world
+    fixes every formula's value there.
+    """
+    mat = nmatrix(logic)
+    stable = in_mask(values.STABLE_MASK, np.arange(8))
+    tables = []
+    for part in (~stable, stable):
+        pair = np.flatnonzero(_one_world(logic) & part).tolist()
+        if not pair:
+            continue
+        # F < T and ff < tt: the undesignated value comes first
+        assert _DESIGNATED[pair].tolist() == [False, True], pair
+        mask = (1 << pair[0]) | (1 << pair[1])
+
+        def designated(cell: int) -> bool:
+            cell &= mask
+            assert cell in (1 << pair[0], 1 << pair[1]), f"{logic.name}: cell {cell:#x}"
+            return cell == 1 << pair[1]
+
+        tables.append((designated(mat.bot_mask),
+                       tuple(x == pair[1] for x in pair if designated(mat.box_masks[x])),
+                       tuple((x == pair[1], y == pair[1])
+                             for x in pair for y in pair if designated(mat.imp_masks[x, y]))))
+    return tuple(tables)
+
+
+@cache
+def _atom_patterns(a: int) -> tuple[int, ...]:
+    """Atom k's designation over the 2**a valuations, as one int: bit v is
+    set iff bit k of v is, so blocks of 2**k clear and 2**k set bits
+    alternate.  Each pattern doubles one period until it spans 2**a bits."""
+    n = 1 << a
+    patterns = []
+    for k in range(a):
+        half = 1 << k
+        pattern, width = ((1 << half) - 1) << half, 2 * half
+        while width < n:
+            pattern |= pattern << width
+            width *= 2
+        patterns.append(pattern)
+    return tuple(patterns)
+
+
+def _one_world_refutes(logic: Logic, clo: Closure, assumptions: tuple[Formula, ...],
+                       goal: Formula, row_cap: int) -> bool:
+    """Whether a one-world row refutes the goal: some valuation of the atoms
+    at a one-world frame designates every assumption and not the goal.
+
+    Each closure member's designation over all 2**a valuations of its a
+    atoms is one int, bit v for valuation v, evaluated once per one-world
+    pair through `_one_world_tables`.  A row of one pair's values is fixed
+    by its atom values, since each later cell meets the pair in one value,
+    and each assignment of the pair's values to the atoms extends to an
+    enumerated row, since no such cell is empty.  So this holds exactly
+    when some enumerated refuting row holds only `_one_world` values.
+    Those rows number at least 2**a, so past `row_cap` the check is skipped
+    (False) and enumeration raises `RowLimitError` as it would without it.
+    """
+    structure = clo.structure()
+    a = sum(kind == "atom" for kind, _, _ in structure)
+    if 1 << a > row_cap:
+        return False
+    atoms = _atom_patterns(a)
+    full = (1 << (1 << a)) - 1
+    goal_at = clo.position(goal)
+    assumed_at = [clo.position(a) for a in assumptions]
+    for bot, box, imp in _one_world_tables(logic):
+        # per closure member: the valuations undesignating it, designating it
+        sides = []
+        atom = iter(atoms)
+        for kind, i, j in structure:
+            if kind == "atom":
+                t = next(atom)
+            elif kind == "bot":
+                t = full if bot else 0
+            elif kind == "box":
+                t = 0
+                for x in box:
+                    t |= sides[i][x]
+            else:
+                t = 0
+                for x, y in imp:
+                    t |= sides[i][x] & sides[j][y]
+            sides.append((full ^ t, t))
+        bad = sides[goal_at][False]
+        for k in assumed_at:
+            bad &= sides[k][True]
+        if bad:
+            return True
+    return False
 
 
 def decide(logic: Logic, assumptions, goal: Formula,
            row_cap: int = ROW_CAP_DEFAULT) -> Verdict:
     """Consequence check over the filtered model of the combined closure.
 
-    Filtering only deletes rows, so when no enumerated row refutes the goal
-    (designates every assumption but not the goal) the verdict is VALID
-    without filtering.  A refuting row of `_one_world` values survives
-    every filter, so then the verdict is INVALID without filtering.
-    Otherwise the filtered model decides.  Either way an INVALID verdict's
-    `witness_index` is the first (in row order) refuting row of the
-    filtered model, found when it is read.
+    A refuting row (one designating every assumption but not the goal) of
+    `_one_world` values survives every filter, so when a one-world
+    valuation refutes the goal (`_one_world_refutes`) the verdict is
+    INVALID without enumerating.  Filtering only deletes rows, so when no
+    enumerated row refutes the goal the verdict is VALID without
+    filtering.  Otherwise the filtered model decides.  Either way an
+    INVALID verdict's `witness_index` is the first (in row order) refuting
+    row of the filtered model, found when it is read.
     """
     assumptions = tuple(assumptions)
     clo = closure(assumptions + (goal,))
-    rows = enumerate_rows(logic, clo, row_cap)
-    verdict = Verdict(True, logic, clo, rows, goal, assumptions)
-    refuting = _refuting(logic, clo, rows, assumptions, goal)
-    if refuting.any():
-        verdict.valid = not (
-            _one_world(logic).take(rows.compress(refuting, axis=0)).all(axis=1).any()
-            or _refuting(logic, clo, verdict.model.rows, assumptions, goal).any())
+    verdict = Verdict(True, logic, clo, goal, assumptions, row_cap)
+    if _one_world_refutes(logic, clo, assumptions, goal, row_cap):
+        verdict.valid = False
+    elif _refuting(clo, verdict.rows, assumptions, goal).any():
+        verdict.valid = not _refuting(clo, verdict.model.rows, assumptions, goal).any()
     return verdict
 
 

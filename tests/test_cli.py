@@ -211,6 +211,17 @@ def test_xcheck_small_run_and_determinism():
     assert out1.strip().split("\n")[-1].startswith("agree=")
 
 
+def test_xcheck_counts_one_world_refutations_past_the_row_cap():
+    """Three of these five formulas have more than 20 rows in K, and a
+    one-world valuation refutes each.  xcheck reads only the verdict, which
+    then needs no enumeration, so the cap leaves the counts unchanged."""
+    argv = ["xcheck", "--logic", "K", "--count", "5", "--seed", "1"]
+    assert run(argv + ["--row-cap", "20"]) == run(argv) == (0, "agree=0 refuted=5 unresolved=0\n", "")
+    code, out, err = run(["decide", "--logic", "K", "--row-cap", "20", "p -> []q"])
+    assert (code, out) == (2, "")
+    assert err == "error: at least 40 rows (counted after column 2 of 4) exceed the cap of 20\n"
+
+
 @pytest.mark.parametrize("atoms", ["0", "12", "-1"])
 def test_xcheck_atom_count_out_of_range_exit_two(atoms):
     code, out, err = run(["xcheck", "--logic", "K", "--count", "5", "--atoms", atoms])

@@ -717,7 +717,7 @@ def test_early_invalid_rows_are_one_world_countermodels(logic_name):
         verdict = decide(logic, assumptions, goal)
         if verdict.valid or "model" in vars(verdict):
             continue
-        refuting = decision._refuting(logic, verdict.closure, verdict.rows, verdict.assumptions, goal)
+        refuting = decision._refuting(verdict.closure, verdict.rows, verdict.assumptions, goal)
         certified = verdict.rows[refuting & one_world[verdict.rows].all(axis=1)]
         assert certified.shape[0] > 0
         atoms = verdict.closure.atom_positions()
@@ -730,6 +730,91 @@ def test_early_invalid_rows_are_one_world_countermodels(logic_name):
                 assert forces(km, 0, f) == want, (str(goal), str(f), row)
         early += 1
     assert early > 0
+
+
+def test_one_world_cells_are_single_values(logic_name):
+    """Every falsum, box and implication cell over the values of one
+    one-world frame meets them in one value, which `_one_world_tables`
+    reads off as its designation."""
+    logic = lookup(logic_name)
+    mat = nmatrix(logic)
+    one = decision._one_world(logic)
+    stable = in_mask(values.STABLE_MASK, np.arange(8))
+    pairs = [np.flatnonzero(one & part) for part in (~stable, stable)]
+    pairs = [pair for pair in pairs if pair.size]
+    assert [len(pair) for pair in pairs] == [2] * len(decision._one_world_tables(logic))
+    for pair in pairs:
+        mask = sum(1 << int(v) for v in pair)
+        cells = [mat.bot_mask] + [mat.box(x) for x in pair] + [
+            mat.imp(x, y) for x in pair for y in pair]
+        assert all(len(values.values_in(c & mask)) == 1 for c in cells), pair
+
+
+def test_one_world_check_matches_the_enumerated_rows(logic_name):
+    """`_one_world_refutes` holds exactly when some enumerated refuting row
+    holds only `_one_world` values, for every formula up to size 5 and
+    every consequence with one assumption up to size 3."""
+    logic = lookup(logic_name)
+    one_world = decision._one_world(logic)
+    small = _formulas_up_to(3)
+    queries = [((), g) for g in _formulas_up_to(5)] + [((a,), g) for a in small for g in small]
+    hits = 0
+    for assumptions, goal in queries:
+        clo = closure(assumptions + (goal,))
+        rows = enumerate_rows(logic, clo)
+        refuting = decision._refuting(clo, rows, assumptions, goal)
+        want = bool(one_world.take(rows.compress(refuting, axis=0)).all(axis=1).any())
+        got = decision._one_world_refutes(logic, clo, assumptions, goal, decision.ROW_CAP_DEFAULT)
+        assert got == want, (assumptions, goal)
+        hits += want
+    assert 0 < hits < len(queries)
+
+
+def _never_enumerate(logic, clo, row_cap=decision.ROW_CAP_DEFAULT):
+    raise AssertionError("enumerate_rows called")
+
+
+def test_one_world_invalid_never_enumerates(monkeypatch, logic_name):
+    """`p` is refuted at a reflexive point in every logic, and K
+    `[]p -> ([]q -> p)` at a dead end; `p -> []p` needs two worlds."""
+    logic = lookup(logic_name)
+    monkeypatch.setattr(decision, "enumerate_rows", _never_enumerate)
+    verdict = decide(logic, [], parse("p"))
+    assert not verdict.valid and "rows" not in vars(verdict)
+    if logic_name == "K":
+        assert not decide(logic, [parse("[]p")], parse("[]q -> p")).valid
+    with pytest.raises(AssertionError, match="enumerate_rows called"):
+        decide(logic, [], parse("p -> []p"))
+
+
+def test_row_cap_surfaces_on_the_first_read_of_the_rows(monkeypatch):
+    """A dead end refutes the goal, so `decide` answers past the row cap,
+    and the cap raises once the table, model or witness is read.  `p -> []p`
+    needs two worlds, so `decide` enumerates it and raises."""
+    verdict = decide(lookup("K"), [], parse("[]p -> ([]q -> p)"), row_cap=10)
+    assert not verdict.valid and verdict.row_cap == 10
+    with pytest.raises(RowLimitError) as e:
+        verdict.witness_index
+    assert str(e.value) == "at least 40 rows (counted after column 2 of 6) exceed the cap of 10"
+    for read in (lambda: verdict.rows, lambda: verdict.model, verdict.witness):
+        with pytest.raises(RowLimitError):
+            read()
+    with pytest.raises(RowLimitError):
+        decide(lookup("K"), [], parse("p -> []p"), row_cap=10)
+    # its 4 valuations already pass a cap of 3, so `decide` enumerates and
+    # raises without building a valuation
+    monkeypatch.setattr(decision, "_atom_patterns", None)
+    with pytest.raises(RowLimitError):
+        decide(lookup("K"), [], parse("[]p -> ([]q -> p)"), row_cap=3)
+
+
+@pytest.mark.parametrize("a", range(7))
+def test_atom_patterns_list_every_valuation(a):
+    patterns = decision._atom_patterns(a)
+    assert len(patterns) == a
+    for k, pattern in enumerate(patterns):
+        assert pattern.bit_length() <= 1 << a
+        assert all((pattern >> v & 1) == (v >> k & 1) for v in range(1 << a))
 
 
 def test_verdict_repr_leaves_the_model_unfiltered(monkeypatch):
