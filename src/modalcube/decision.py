@@ -20,7 +20,7 @@ import numpy as np
 from . import values
 from ._accel import WorkLimitError, compat_matrix, signatures, support_filter_round
 from .formula import Closure, Formula, children, closure, print_formula
-from .logics import _VALUE_OF, Logic, _compose, frame_tables
+from .logics import _VALUE_OF, Logic, _compose, _frame_relations, frame_tables
 from .nmatrix import Nmatrix, _check_admissible, nmatrix
 from .values import in_mask, mask_of
 
@@ -317,12 +317,10 @@ class Verdict:
     the verdict's `row_cap`; `model` is the filtered table, built from
     `rows` on its first read; and `witness_index` is the first row of
     `model` that refutes the goal (None for a VALID verdict), found on its
-    first read.  `decide` enumerates only when no one-world valuation
-    refutes the goal, and filters only when moreover some enumerated row
-    does.  So a one-world INVALID verdict may never enumerate, a VALID
-    verdict with no refuting row may never filter, and reading `rows`,
-    `model`, `witness_index` or `witness()` may then raise `RowLimitError`
-    or `WorkLimitError`.
+    first read.  `decide` enumerates only when no one-world frame refutes
+    the goal, and filters only when some enumerated row does, so reading
+    `rows`, `model`, `witness_index` or `witness()` may raise
+    `RowLimitError` or `WorkLimitError`.
     """
     valid: bool
     logic: Logic = field(repr=False)
@@ -372,58 +370,8 @@ def _refuting(clo: Closure, rows: np.ndarray,
 
 
 @cache
-def _one_world(logic: Logic) -> np.ndarray:
-    """bool[8] per value: the values of the logic's one-world frames, a dead
-    end where the logic allows one and a reflexive point.
-
-    Rows never mix stable with non-stable values, so a row of these values
-    is the truth-table row of one such world: a stable row has no
-    obligations and no successor, and any other row is its own compatible
-    successor and witnesses its own obligations.  So the row alone is a
-    self-supporting set, which lies inside the greatest fixpoint.  Each
-    world gives a pair of values, one designated and one not: T/F at the
-    reflexive point, tt/ff at the dead end.  `_one_world_tables` reads the
-    Nmatrix over each pair.
-    """
-    return in_mask(frame_tables(logic.frame_props, worlds=1).values_mask, np.arange(8))
-
-
-@cache
-def _one_world_tables(logic: Logic) -> tuple[tuple[bool, tuple, tuple], ...]:
-    """The two-valued tables of each one-world pair: whether falsum is
-    designated, the designations of []'s argument whose cell is designated,
-    and the designation pairs of ->'s arguments whose cell is designated.
-
-    They are the Nmatrix cells intersected with the pair.  Each such cell
-    is one value, asserted here: a valuation of the atoms at one world
-    fixes every formula's value there.
-    """
-    mat = nmatrix(logic)
-    stable = in_mask(values.STABLE_MASK, np.arange(8))
-    tables = []
-    for part in (~stable, stable):
-        pair = np.flatnonzero(_one_world(logic) & part).tolist()
-        if not pair:
-            continue
-        # F < T and ff < tt: the undesignated value comes first
-        assert _DESIGNATED[pair].tolist() == [False, True], pair
-        mask = (1 << pair[0]) | (1 << pair[1])
-
-        def designated(cell: int) -> bool:
-            cell &= mask
-            assert cell in (1 << pair[0], 1 << pair[1]), f"{logic.name}: cell {cell:#x}"
-            return cell == 1 << pair[1]
-
-        tables.append((designated(mat.bot_mask),
-                       tuple(x == pair[1] for x in pair if designated(mat.box_masks[x])),
-                       tuple((x == pair[1], y == pair[1])
-                             for x in pair for y in pair if designated(mat.imp_masks[x, y]))))
-    return tuple(tables)
-
-
-@cache
 def _atom_patterns(a: int) -> tuple[int, ...]:
-    """Atom k's designation over the 2**a valuations, as one int: bit v is
+    """Atom k's truth over the 2**a valuations, as one int: bit v is
     set iff bit k of v is, so blocks of 2**k clear and 2**k set bits
     alternate.  Each pattern doubles one period until it spans 2**a bits."""
     n = 1 << a
@@ -440,18 +388,18 @@ def _atom_patterns(a: int) -> tuple[int, ...]:
 
 def _one_world_refutes(logic: Logic, clo: Closure, assumptions: tuple[Formula, ...],
                        goal: Formula, row_cap: int) -> bool:
-    """Whether a one-world row refutes the goal: some valuation of the atoms
-    at a one-world frame designates every assumption and not the goal.
+    """Whether a one-world frame of the logic refutes the goal: some
+    valuation of the atoms at its world makes every assumption true and the
+    goal false.
 
-    Each closure member's designation over all 2**a valuations of its a
-    atoms is one int, bit v for valuation v, evaluated once per one-world
-    pair through `_one_world_tables`.  A row of one pair's values is fixed
-    by its atom values, since each later cell meets the pair in one value,
-    and each assignment of the pair's values to the atoms extends to an
-    enumerated row, since no such cell is empty.  So this holds exactly
-    when some enumerated refuting row holds only `_one_world` values.
-    Those rows number at least 2**a, so past `row_cap` the check is skipped
-    (False) and enumeration raises `RowLimitError` as it would without it.
+    The frames are `_frame_relations(1, props)`: a reflexive point, and a
+    dead end where the logic allows one.  Each closure member's truth over
+    all 2**a valuations of its a atoms is one int, bit v for valuation v.
+    At a reflexive point []f is true where f is; at a dead end it is always
+    true.  The world's row (T/F at the point, tt/ff at the dead end) is its
+    own support, so it survives every filter.  Such rows number 2**a, so
+    past `row_cap` the check is skipped (False) and enumeration raises
+    `RowLimitError` as it would without it.
     """
     structure = clo.structure()
     a = sum(kind == "atom" for kind, _, _ in structure)
@@ -460,28 +408,24 @@ def _one_world_refutes(logic: Logic, clo: Closure, assumptions: tuple[Formula, .
     atoms = _atom_patterns(a)
     full = (1 << (1 << a)) - 1
     goal_at = clo.position(goal)
-    assumed_at = [clo.position(a) for a in assumptions]
-    for bot, box, imp in _one_world_tables(logic):
-        # per closure member: the valuations undesignating it, designating it
-        sides = []
+    assumed_at = [clo.position(f) for f in assumptions]
+    for rel in _frame_relations(1, logic.frame_props):
+        looped = bool(rel[0, 0])
+        truth = []
         atom = iter(atoms)
         for kind, i, j in structure:
             if kind == "atom":
                 t = next(atom)
             elif kind == "bot":
-                t = full if bot else 0
+                t = 0
             elif kind == "box":
-                t = 0
-                for x in box:
-                    t |= sides[i][x]
+                t = truth[i] if looped else full
             else:
-                t = 0
-                for x, y in imp:
-                    t |= sides[i][x] & sides[j][y]
-            sides.append((full ^ t, t))
-        bad = sides[goal_at][False]
+                t = (full ^ truth[i]) | truth[j]
+            truth.append(t)
+        bad = full ^ truth[goal_at]
         for k in assumed_at:
-            bad &= sides[k][True]
+            bad &= truth[k]
         if bad:
             return True
     return False
@@ -491,10 +435,9 @@ def decide(logic: Logic, assumptions, goal: Formula,
            row_cap: int = ROW_CAP_DEFAULT) -> Verdict:
     """Consequence check over the filtered model of the combined closure.
 
-    A refuting row (one designating every assumption but not the goal) of
-    `_one_world` values survives every filter, so when a one-world
-    valuation refutes the goal (`_one_world_refutes`) the verdict is
-    INVALID without enumerating.  Filtering only deletes rows, so when no
+    A one-world frame refuting the goal (`_one_world_refutes`) gives a
+    refuting row that survives every filter, so the verdict is INVALID
+    without enumerating.  Filtering only deletes rows, so when no
     enumerated row refutes the goal the verdict is VALID without
     filtering.  Otherwise the filtered model decides.  Either way an
     INVALID verdict's `witness_index` is the first (in row order) refuting

@@ -21,8 +21,10 @@ from modalcube.decision import (
 from modalcube.formula import (
     Atom, Box, Falsum, Implies, closure, instantiate, parse, print_formula,
 )
-from modalcube.kripke import KripkeModel, check_frame, forces, frame_props, to_kripke
-from modalcube.logics import AXIOM_SCHEMAS, all_logics, lookup
+from modalcube.kripke import (
+    KripkeModel, check_frame, forces, frame_props, oracle_decide, to_kripke,
+)
+from modalcube.logics import AXIOM_SCHEMAS, _frame_relations, all_logics, frame_tables, lookup
 from modalcube.nmatrix import ValueNotInLogicError, nmatrix
 from modalcube.values import in_mask, names_in, value_id
 
@@ -670,10 +672,17 @@ def _formulas_up_to(n):
     return [f for k in range(1, n + 1) for f in _formulas_of_size(k)]
 
 
+def _one_world(logic):
+    """bool[8] per value: the values of the logic's one-world frames, tt
+    and ff at a dead end where the logic allows one, T and F at a reflexive
+    point."""
+    return in_mask(frame_tables(logic.frame_props, worlds=1).values_mask, np.arange(8))
+
+
 def test_one_world_rows_lie_in_the_reference_fixpoint(logic_name):
-    """Every enumerated row of `_one_world` values survives the naive
+    """Every enumerated row of one-world values survives the naive
     reference filter, on the closures of every formula up to size 4."""
-    one_world = decision._one_world(lookup(logic_name))
+    one_world = _one_world(lookup(logic_name))
     checked = 0
     for clo in {closure([f]) for f in _formulas_up_to(4)}:
         rows = ref.enumerate_rows(logic_name, clo.formulas)
@@ -686,7 +695,7 @@ def test_one_world_rows_lie_in_the_reference_fixpoint(logic_name):
 
 
 def test_one_world_values_are_the_self_supporting_values(logic_name):
-    """`_one_world`, read off the one-world frames, are the logic's values
+    """The values of the one-world frames are the logic's values
     that are stable, or allowed after themselves and designated if in P and
     undesignated if in PN: T and F, plus tt and ff without seriality."""
     logic = lookup(logic_name)
@@ -696,20 +705,20 @@ def test_one_world_values_are_the_self_supporting_values(logic_name):
             or (allowed[v] >> v & 1
                 and (logic.designated_mask >> v & 1 or not values.member(v, "P"))
                 and (logic.nondesignated_mask >> v & 1 or not values.member(v, "PN")))}
-    assert set(np.flatnonzero(decision._one_world(logic)).tolist()) == want
+    assert set(np.flatnonzero(_one_world(logic)).tolist()) == want
     stable = set() if "serial" in logic.frame_props else {values.ff, values.tt}
     assert want == {values.F, values.T} | stable
 
 
 def test_early_invalid_rows_are_one_world_countermodels(logic_name):
-    """Each refuting row of `_one_world` values, read as one world (looped
+    """Each refuting row of one-world values, read as one world (looped
     unless the row is stable, an atom true where its value is designated),
     is a frame of the logic that forces exactly the designated closure
     members: so the assumptions but not the goal.  Checked for every early
     INVALID over the formulas up to size 5, and for consequences with one
     assumption up to size 3."""
     logic = lookup(logic_name)
-    one_world = decision._one_world(logic)
+    one_world = _one_world(logic)
     small = _formulas_up_to(3)
     queries = [([], g) for g in _formulas_up_to(5)] + [([a], g) for a in small for g in small]
     early = 0
@@ -734,15 +743,15 @@ def test_early_invalid_rows_are_one_world_countermodels(logic_name):
 
 def test_one_world_cells_are_single_values(logic_name):
     """Every falsum, box and implication cell over the values of one
-    one-world frame meets them in one value, which `_one_world_tables`
-    reads off as its designation."""
+    one-world frame meets them in one value: the Nmatrix restricted to a
+    frame's pair of values is a two-valued table."""
     logic = lookup(logic_name)
     mat = nmatrix(logic)
-    one = decision._one_world(logic)
+    one = _one_world(logic)
     stable = in_mask(values.STABLE_MASK, np.arange(8))
     pairs = [np.flatnonzero(one & part) for part in (~stable, stable)]
     pairs = [pair for pair in pairs if pair.size]
-    assert [len(pair) for pair in pairs] == [2] * len(decision._one_world_tables(logic))
+    assert [len(pair) for pair in pairs] == [2] * len(_frame_relations(1, logic.frame_props))
     for pair in pairs:
         mask = sum(1 << int(v) for v in pair)
         cells = [mat.bot_mask] + [mat.box(x) for x in pair] + [
@@ -752,10 +761,11 @@ def test_one_world_cells_are_single_values(logic_name):
 
 def test_one_world_check_matches_the_enumerated_rows(logic_name):
     """`_one_world_refutes` holds exactly when some enumerated refuting row
-    holds only `_one_world` values, for every formula up to size 5 and
-    every consequence with one assumption up to size 3."""
+    holds only one-world values, and exactly when the oracle finds a
+    one-world countermodel, for every formula up to size 5 and every
+    consequence with one assumption up to size 3."""
     logic = lookup(logic_name)
-    one_world = decision._one_world(logic)
+    one_world = _one_world(logic)
     small = _formulas_up_to(3)
     queries = [((), g) for g in _formulas_up_to(5)] + [((a,), g) for a in small for g in small]
     hits = 0
@@ -766,6 +776,7 @@ def test_one_world_check_matches_the_enumerated_rows(logic_name):
         want = bool(one_world.take(rows.compress(refuting, axis=0)).all(axis=1).any())
         got = decision._one_world_refutes(logic, clo, assumptions, goal, decision.ROW_CAP_DEFAULT)
         assert got == want, (assumptions, goal)
+        assert got == oracle_decide(logic, assumptions, goal, 1).found, (assumptions, goal)
         hits += want
     assert 0 < hits < len(queries)
 
@@ -775,16 +786,24 @@ def _never_enumerate(logic, clo, row_cap=decision.ROW_CAP_DEFAULT):
 
 
 def test_one_world_invalid_never_enumerates(monkeypatch, logic_name):
-    """`p` is refuted at a reflexive point in every logic, and K
-    `[]p -> ([]q -> p)` at a dead end; `p -> []p` needs two worlds."""
+    """`p` is refuted at a reflexive point in every logic, and `[]p` |-
+    `[]q -> p` at a dead end, so only in the six non-serial logics; the
+    serial ones enumerate it, and it is valid in those with axiom T.
+    `p -> []p` needs two worlds."""
     logic = lookup(logic_name)
     monkeypatch.setattr(decision, "enumerate_rows", _never_enumerate)
     verdict = decide(logic, [], parse("p"))
     assert not verdict.valid and "rows" not in vars(verdict)
-    if logic_name == "K":
-        assert not decide(logic, [parse("[]p")], parse("[]q -> p")).valid
     with pytest.raises(AssertionError, match="enumerate_rows called"):
         decide(logic, [], parse("p -> []p"))
+    dead_end = [parse("[]p")], parse("[]q -> p")
+    if logic_name in ("K", "KB", "K4", "K5", "K45", "KB5"):
+        assert not decide(logic, *dead_end).valid
+        return
+    with pytest.raises(AssertionError, match="enumerate_rows called"):
+        decide(logic, *dead_end)
+    monkeypatch.undo()
+    assert decide(logic, *dead_end).valid == (logic_name in ("KT", "KTB", "KT4", "KT45"))
 
 
 def test_row_cap_surfaces_on_the_first_read_of_the_rows(monkeypatch):
