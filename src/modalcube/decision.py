@@ -19,7 +19,8 @@ import numpy as np
 
 from . import values
 from ._accel import WorkLimitError, compat_matrix, signatures, support_filter_round
-from .formula import Closure, Formula, children, closure, print_formula
+from .formula import (Atom, Box, Closure, Formula, FormulaError, Implies, children,
+                      closure, print_formula, subformulas)
 from .logics import _VALUE_OF, Logic, _compose, _frame_relations, frame_tables
 from .nmatrix import Nmatrix, _check_admissible, nmatrix
 from .values import in_mask, mask_of
@@ -313,21 +314,25 @@ def frame_relation(model: TableModel) -> np.ndarray:
 class Verdict:
     """A consequence verdict over the closure of the assumptions and goal.
 
-    `rows` is the closure's enumerated table, built on its first read with
-    the verdict's `row_cap`; `model` is the filtered table, built from
-    `rows` on its first read; and `witness_index` is the first row of
-    `model` that refutes the goal (None for a VALID verdict), found on its
-    first read.  `decide` enumerates only when no one-world frame refutes
-    the goal, and filters only when some enumerated row does, so reading
-    `rows`, `model`, `witness_index` or `witness()` may raise
-    `RowLimitError` or `WorkLimitError`.
+    `closure` is the canonical closure of the assumptions and the goal,
+    built on its first read; `rows` is its enumerated table, built on its
+    first read with the verdict's `row_cap`; `model` is the filtered table,
+    built from `rows` on its first read; and `witness_index` is the first
+    row of `model` that refutes the goal (None for a VALID verdict), found
+    on its first read.  `decide` builds the closure and enumerates only
+    when no one-world frame refutes the goal, and filters only when some
+    enumerated row does, so reading `rows`, `model`, `witness_index` or
+    `witness()` may raise `RowLimitError` or `WorkLimitError`.
     """
     valid: bool
     logic: Logic = field(repr=False)
-    closure: Closure = field(repr=False)
     goal: Formula
     assumptions: tuple[Formula, ...]
     row_cap: int = field(default=ROW_CAP_DEFAULT, repr=False, compare=False)
+
+    @cached_property
+    def closure(self) -> Closure:
+        return closure(self.assumptions + (self.goal,))
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -386,46 +391,44 @@ def _atom_patterns(a: int) -> tuple[int, ...]:
     return tuple(patterns)
 
 
-def _one_world_refutes(logic: Logic, clo: Closure, assumptions: tuple[Formula, ...],
+def _one_world_refutes(logic: Logic, subs: list[Formula], assumptions: tuple[Formula, ...],
                        goal: Formula, row_cap: int) -> bool:
     """Whether a one-world frame of the logic refutes the goal: some
     valuation of the atoms at its world makes every assumption true and the
     goal false.
 
     The frames are `_frame_relations(1, props)`: a reflexive point, and a
-    dead end where the logic allows one.  Each closure member's truth over
-    all 2**a valuations of its a atoms is one int, bit v for valuation v.
-    At a reflexive point []f is true where f is; at a dead end it is always
-    true.  The world's row (T/F at the point, tt/ff at the dead end) is its
-    own support, so it survives every filter.  Such rows number 2**a, so
-    past `row_cap` the check is skipped (False) and enumeration raises
-    `RowLimitError` as it would without it.
+    dead end where the logic allows one.  `subs` lists each subformula of
+    the assumptions and goal after its children (`subformulas`), and each
+    one's truth over all 2**a valuations of its a atoms is one int, bit v
+    for valuation v.  At a reflexive point []f is true where f is; at a
+    dead end it is always true.  The world's row (T/F at the point, tt/ff
+    at the dead end) is its own support, so it survives every filter.  Such
+    rows number 2**a, so past `row_cap` the check is skipped (False) and
+    enumeration raises `RowLimitError` as it would without it.
     """
-    structure = clo.structure()
-    a = sum(kind == "atom" for kind, _, _ in structure)
+    a = sum(type(f) is Atom for f in subs)
     if 1 << a > row_cap:
         return False
     atoms = _atom_patterns(a)
     full = (1 << (1 << a)) - 1
-    goal_at = clo.position(goal)
-    assumed_at = [clo.position(f) for f in assumptions]
     for rel in _frame_relations(1, logic.frame_props):
         looped = bool(rel[0, 0])
-        truth = []
+        truth: dict[Formula, int] = {}
         atom = iter(atoms)
-        for kind, i, j in structure:
-            if kind == "atom":
-                t = next(atom)
-            elif kind == "bot":
-                t = 0
-            elif kind == "box":
-                t = truth[i] if looped else full
-            else:
-                t = (full ^ truth[i]) | truth[j]
-            truth.append(t)
-        bad = full ^ truth[goal_at]
-        for k in assumed_at:
-            bad &= truth[k]
+        for f in subs:
+            t = type(f)
+            if t is Implies:
+                truth[f] = (full ^ truth[f.left]) | truth[f.right]
+            elif t is Box:
+                truth[f] = truth[f.operand] if looped else full
+            elif t is Atom:
+                truth[f] = next(atom)
+            else:  # falsum: `subformulas` admits only the four node kinds
+                truth[f] = 0
+        bad = full ^ truth[goal]
+        for f in assumptions:
+            bad &= truth[f]
         if bad:
             return True
     return False
@@ -435,21 +438,27 @@ def decide(logic: Logic, assumptions, goal: Formula,
            row_cap: int = ROW_CAP_DEFAULT) -> Verdict:
     """Consequence check over the filtered model of the combined closure.
 
-    A one-world frame refuting the goal (`_one_world_refutes`) gives a
+    An assumption or goal that is not a `Formula` raises `FormulaError`
+    before any work.  A one-world frame refuting the goal
+    (`_one_world_refutes`, which reads only the subformula list) gives a
     refuting row that survives every filter, so the verdict is INVALID
-    without enumerating.  Filtering only deletes rows, so when no
-    enumerated row refutes the goal the verdict is VALID without
-    filtering.  Otherwise the filtered model decides.  Either way an
-    INVALID verdict's `witness_index` is the first (in row order) refuting
-    row of the filtered model, found when it is read.
+    without building the canonical closure or enumerating.  Filtering only
+    deletes rows, so when no enumerated row refutes the goal the verdict is
+    VALID without filtering.  Otherwise the filtered model decides.  Either
+    way an INVALID verdict's `witness_index` is the first (in row order)
+    refuting row of the filtered model, found when it is read.
     """
     assumptions = tuple(assumptions)
-    clo = closure(assumptions + (goal,))
-    verdict = Verdict(True, logic, clo, goal, assumptions, row_cap)
-    if _one_world_refutes(logic, clo, assumptions, goal, row_cap):
+    for f in assumptions + (goal,):
+        if not isinstance(f, Formula):
+            raise FormulaError(f"not a formula: {f!r}")
+    subs = subformulas(assumptions + (goal,))
+    verdict = Verdict(True, logic, goal, assumptions, row_cap)
+    if _one_world_refutes(logic, subs, assumptions, goal, row_cap):
         verdict.valid = False
-    elif _refuting(clo, verdict.rows, assumptions, goal).any():
-        verdict.valid = not _refuting(clo, verdict.model.rows, assumptions, goal).any()
+    elif _refuting(verdict.closure, verdict.rows, assumptions, goal).any():
+        verdict.valid = not _refuting(verdict.closure, verdict.model.rows,
+                                      assumptions, goal).any()
     return verdict
 
 

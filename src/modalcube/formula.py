@@ -350,14 +350,18 @@ class Closure:
         for i, f in enumerate(self.formulas):
             if f in index:
                 raise FormulaError(f"duplicate closure member {f}")
-            args = []
-            for sub in children(f):
-                j = index.get(sub)
-                if j is None:
-                    raise FormulaError(
-                        f"closure member {f} precedes its subformula {print_formula(sub)}")
-                args.append(j)
-            structure.append((_KINDS[type(f)], *(args + [-1, -1])[:2]))
+            t = type(f)
+            if t is Implies:
+                entry = ("imp", index.get(f.left), index.get(f.right))
+            elif t is Box:
+                entry = ("box", index.get(f.operand), -1)
+            else:
+                entry = (_KINDS[t], -1, -1)
+            if None in entry:
+                sub = next(g for g in children(f) if g not in index)
+                raise FormulaError(
+                    f"closure member {f} precedes its subformula {print_formula(sub)}")
+            structure.append(entry)
             index[f] = i
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_structure", tuple(structure))
@@ -386,35 +390,60 @@ class Closure:
         return self._structure
 
 
-def closure(roots) -> Closure:
-    """Smallest subformula-closed set containing `roots`, canonically ordered."""
-    roots = list(roots)
-    if not roots:
-        raise FormulaError("closure of an empty set")
-    # (size, core print) of each member, built bottom-up: a node is keyed
-    # once all its children are, from their keys
-    key: dict[Formula, tuple[int, str]] = {}
-    stack = [(f, False) for f in roots]
+def subformulas(roots) -> list[Formula]:
+    """Each distinct subformula of `roots` once, after its children.
+
+    One pass over an explicit stack: a node is listed once all its children
+    are, so it never recurses, and a subtree shared by several parents is
+    walked once.  Anything but the four node kinds raises `FormulaError`.
+    """
+    out: list[Formula] = []
+    seen: set[Formula] = set()
+    stack = list(roots)
     try:
         while stack:
-            f, ready = stack.pop()
-            if not ready:
-                if f not in key:
-                    stack.append((f, True))
-                    stack.extend((g, False) for g in children(f) if g not in key)
+            f = stack[-1]
+            if f in seen:
+                stack.pop()
                 continue
-            if isinstance(f, Implies):
-                (ls, lt), (rs, rt) = key[f.left], key[f.right]
-                key[f] = (1 + ls + rs, _operand(f.left, lt) + " -> " + rt)
-            elif isinstance(f, Box):
-                s, t = key[f.operand]
-                key[f] = (1 + s, "[]" + _operand(f.operand, t))
-            else:
-                key[f] = (1, print_formula(f))
+            t = type(f)
+            if t is Implies:
+                if f.left not in seen or f.right not in seen:
+                    stack += (f.right, f.left)
+                    continue
+            elif t is Box:
+                if f.operand not in seen:
+                    stack.append(f.operand)
+                    continue
+            elif t is not Atom and t is not Falsum:
+                raise FormulaError(f"not a formula: {f!r}")
+            stack.pop()
+            seen.add(f)
+            out.append(f)
     except RecursionError:
         # equal subformulas built apart compare once per nesting level
         raise FormulaError("formula nested too deeply") from None
-    return Closure(tuple(sorted(key, key=key.__getitem__)))
+    return out
+
+
+def closure(roots) -> Closure:
+    """Smallest subformula-closed set containing `roots`, canonically ordered."""
+    subs = subformulas(roots)
+    if not subs:
+        raise FormulaError("closure of an empty set")
+    # (size, core print) of each member, built from its children's keys
+    key: dict[Formula, tuple[int, str]] = {}
+    for f in subs:
+        t = type(f)
+        if t is Implies:
+            (ls, lt), (rs, rt) = key[f.left], key[f.right]
+            key[f] = (1 + ls + rs, _operand(f.left, lt) + " -> " + rt)
+        elif t is Box:
+            s, text = key[f.operand]
+            key[f] = (1 + s, "[]" + _operand(f.operand, text))
+        else:
+            key[f] = (1, f.name if t is Atom else "bot")
+    return Closure(tuple(sorted(subs, key=key.__getitem__)))
 
 
 def _operand(f: Formula, text: str) -> str:

@@ -19,7 +19,8 @@ from modalcube.decision import (
     model_to_json_dict, support_requirements, validate_rows,
 )
 from modalcube.formula import (
-    Atom, Box, Falsum, Implies, closure, instantiate, parse, print_formula,
+    Atom, Box, Falsum, FormulaError, Implies, children, closure, instantiate, land, parse,
+    print_formula, subformulas,
 )
 from modalcube.kripke import (
     KripkeModel, check_frame, forces, frame_props, oracle_decide, to_kripke,
@@ -774,11 +775,23 @@ def test_one_world_check_matches_the_enumerated_rows(logic_name):
         rows = enumerate_rows(logic, clo)
         refuting = decision._refuting(clo, rows, assumptions, goal)
         want = bool(one_world.take(rows.compress(refuting, axis=0)).all(axis=1).any())
-        got = decision._one_world_refutes(logic, clo, assumptions, goal, decision.ROW_CAP_DEFAULT)
+        got = decision._one_world_refutes(logic, subformulas(assumptions + (goal,)), assumptions,
+                                          goal, decision.ROW_CAP_DEFAULT)
         assert got == want, (assumptions, goal)
         assert got == oracle_decide(logic, assumptions, goal, 1).found, (assumptions, goal)
         hits += want
     assert 0 < hits < len(queries)
+
+
+def test_subformulas_list_the_closure_of_small_formulas():
+    """`subformulas` lists each member of the closure once, after its
+    children, for every root set the one-world tests above decide."""
+    small = _formulas_up_to(3)
+    for roots in [[g] for g in _formulas_up_to(5)] + [[a, g] for a in small for g in small]:
+        subs = subformulas(roots)
+        at = {f: k for k, f in enumerate(subs)}
+        assert len(at) == len(subs) and set(subs) == set(closure(roots).formulas)
+        assert all(at[g] < k for k, f in enumerate(subs) for g in children(f)), roots
 
 
 def _never_enumerate(logic, clo, row_cap=decision.ROW_CAP_DEFAULT):
@@ -804,6 +817,78 @@ def test_one_world_invalid_never_enumerates(monkeypatch, logic_name):
         decide(logic, *dead_end)
     monkeypatch.undo()
     assert decide(logic, *dead_end).valid == (logic_name in ("KT", "KTB", "KT4", "KT45"))
+
+
+def _never_close(roots):
+    raise AssertionError("closure called")
+
+
+def test_one_world_invalid_never_builds_the_closure(monkeypatch, logic_name):
+    """The one-world check reads the subformula list, so a one-world INVALID
+    verdict builds its canonical closure only when it is read: `p` in every
+    logic, and `[]p` |- `[]q -> p` in the six non-serial ones.  The serial
+    ones enumerate that consequence, which needs the closure."""
+    logic = lookup(logic_name)
+    monkeypatch.setattr(decision, "closure", _never_close)
+    verdicts = [decide(logic, [], parse("p"))]
+    dead_end = [parse("[]p")], parse("[]q -> p")
+    if logic_name in ("K", "KB", "K4", "K5", "K45", "KB5"):
+        verdicts.append(decide(logic, *dead_end))
+    else:
+        with pytest.raises(AssertionError, match="closure called"):
+            decide(logic, *dead_end)
+    for verdict in verdicts:
+        assert not verdict.valid and "closure" not in vars(verdict)
+    monkeypatch.undo()
+    assert verdicts[0].closure == closure([parse("p")])
+
+
+@pytest.mark.parametrize("name", ["K", "KT", "S5"])
+def test_one_world_invalid_walks_a_shared_subtree_once(monkeypatch, name):
+    """60 nested `f = []f & f` share their subtrees: 242 distinct
+    subformulas in a tree of more than 2**60 nodes.  A reflexive point
+    where p is false refutes it, without the closure, whose keys print the
+    whole tree."""
+    f = p
+    for _ in range(60):
+        f = land(Box(f), f)
+    monkeypatch.setattr(decision, "closure", _never_close)
+    monkeypatch.setattr(decision, "enumerate_rows", _never_enumerate)
+    assert len(subformulas([f])) == 242
+    assert not decide(lookup(name), [], f).valid
+
+
+def _never(*args):
+    raise AssertionError("called")
+
+
+def _queries(x):
+    """Consequences with `x` in them: with `x` = `p`, a one-world frame
+    refutes the first two in K, and the last two enumerate."""
+    return [([], x), ([x], q), ([x], parse("p -> []p")), ([p], x)]
+
+
+@pytest.mark.parametrize("bad", ["p", None])
+def test_decide_rejects_what_is_not_a_formula(monkeypatch, bad):
+    """A goal or assumption that is not a `Formula` raises `FormulaError`
+    before any work, on the one-world path and on the enumerating path."""
+    logic = lookup("K")
+    monkeypatch.setattr(decision, "enumerate_rows", _never_enumerate)
+    for k, query in enumerate(_queries(p)):
+        if k < 2:
+            assert not decide(logic, *query).valid
+        else:
+            with pytest.raises(AssertionError, match="enumerate_rows called"):
+                decide(logic, *query)
+    monkeypatch.undo()
+    for query in _queries(bad):
+        with pytest.raises(FormulaError, match="^not a formula: "):
+            decide(logic, *query)
+    for name in ("subformulas", "_one_world_refutes", "closure", "enumerate_rows"):
+        monkeypatch.setattr(decision, name, _never)
+    for query in _queries(bad):
+        with pytest.raises(FormulaError, match="^not a formula: "):
+            decide(logic, *query)
 
 
 def test_row_cap_surfaces_on_the_first_read_of_the_rows(monkeypatch):

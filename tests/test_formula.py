@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from modalcube.formula import (
     Atom, Box, Falsum, FormulaError, Implies, ParseError, children, closure,
-    instantiate, land, ldia, lnot, lor, parse, print_formula, size,
+    instantiate, land, ldia, lnot, lor, parse, print_formula, size, subformulas,
 )
 
 p, q = Atom("p"), Atom("q")
@@ -140,6 +140,67 @@ def test_closure_non_roots_are_proper_subformulas():
         assert f in rootset or f in subs
 
 
+def _deep_negations(n):
+    f = Atom("p")
+    for _ in range(n):
+        f = lnot(f)
+    return f
+
+
+def check_subformulas(roots):
+    """`subformulas(roots)` lists the members of `closure(roots)`, each
+    once, every one after its children."""
+    subs = subformulas(roots)
+    assert len(set(subs)) == len(subs)
+    assert set(subs) == set(closure(roots).formulas)
+    listed = set()
+    for f in subs:
+        assert all(g in listed for g in children(f)), print_formula(f)
+        listed.add(f)
+
+
+@pytest.mark.parametrize("texts", [
+    ["!" * 500 + "p"], ["([]p & []q) -> [](p | (q & r))"], ["<>[]p -> []<>(q -> bot)"],
+    ["[](p -> q) -> ([]p -> []q)"], ["((p -> q) -> p) -> p"], ["(p -> q -> r) | (p -> [][]q)"],
+    ["[]p -> p"], ["p"], ["<>p"], ["[]p -> p", "q"], ["p", "p", "[]p"],
+])
+def test_subformulas_list_the_closure_children_first(texts):
+    check_subformulas([parse(t) for t in texts])
+
+
+def test_subformulas_never_recurse():
+    """A formula nested past the recursion limit lists without recursing;
+    two equal ones built apart compare once per level and raise, through
+    `subformulas` and `closure` alike."""
+    f, g = _deep_negations(3000), _deep_negations(3000)
+    check_subformulas([f])
+    assert len(subformulas([f])) == 3002
+    for pass_ in (subformulas, closure):
+        with pytest.raises(FormulaError, match="^formula nested too deeply$"):
+            pass_([f, g])
+
+
+def test_subformulas_list_a_shared_subtree_once():
+    f = Atom("p")
+    for _ in range(60):
+        f = land(Box(f), f)
+    subs = subformulas([f])
+    assert len(subs) == len(set(subs)) == 242 and subs[-1] is f
+
+
+@pytest.mark.parametrize("bad", ["p", None, 0])
+def test_subformulas_reject_what_is_not_a_formula(bad):
+    for pass_ in (subformulas, closure):
+        with pytest.raises(FormulaError, match="^not a formula: "):
+            pass_([p, bad])
+
+
+def test_closure_of_nothing_is_an_error():
+    with pytest.raises(FormulaError, match="closure of an empty set"):
+        closure([])
+    assert subformulas([]) == []
+
+
 def test_instantiate():
     schema = parse("[]a -> a")
     assert instantiate(schema, {"a": lor(p, q)}) == Implies(Box(lor(p, q)), lor(p, q))
@@ -176,6 +237,11 @@ def test_print_parse_roundtrip_core(f):
 @given(formulas())
 def test_print_parse_roundtrip_resugared(f):
     assert parse(print_formula(f, resugar=True)) == f
+
+
+@given(formulas())
+def test_subformulas_of_random_formulas(f):
+    check_subformulas([f, Box(f)])
 
 
 @given(formulas())
