@@ -314,21 +314,24 @@ def frame_relation(model: TableModel) -> np.ndarray:
 class Verdict:
     """A consequence verdict over the closure of the assumptions and goal.
 
-    `closure` is the canonical closure of the assumptions and the goal,
-    built on its first read; `rows` is its enumerated table, built on its
-    first read with the verdict's `row_cap`; `model` is the filtered table,
-    built from `rows` on its first read; and `witness_index` is the first
-    row of `model` that refutes the goal (None for a VALID verdict), found
-    on its first read.  `decide` builds the closure and enumerates only
-    when no one-world frame refutes the goal, and filters only when some
-    enumerated row does, so reading `rows`, `model`, `witness_index` or
-    `witness()` may raise `RowLimitError` or `WorkLimitError`.
+    `stage` names the stage of `decide` that answered: "1-world",
+    "early-valid", "2-world", "3-world" or "filter".  `closure` is the
+    canonical closure of the assumptions and the goal, built on its first
+    read; `rows` is its enumerated table, built on its first read with the
+    verdict's `row_cap`; `model` is the filtered table, built from `rows` on
+    its first read; and `witness_index` is the first row of `model` that
+    refutes the goal (None for a VALID verdict), found on its first read.
+    `decide` works on the subformula list and keeps none of these, so
+    reading `rows`, `model`, `witness_index` or `witness()` may raise
+    `RowLimitError` or `WorkLimitError`, and reading `closure` may raise
+    `FormulaError` (`formula.closure`).
     """
     valid: bool
     logic: Logic = field(repr=False)
     goal: Formula
     assumptions: tuple[Formula, ...]
     row_cap: int = field(default=ROW_CAP_DEFAULT, repr=False, compare=False)
+    stage: str | None = field(default=None, compare=False)
 
     @cached_property
     def closure(self) -> Closure:
@@ -391,47 +394,85 @@ def _atom_patterns(a: int) -> tuple[int, ...]:
     return tuple(patterns)
 
 
-def _one_world_refutes(logic: Logic, subs: list[Formula], assumptions: tuple[Formula, ...],
-                       goal: Formula, row_cap: int) -> bool:
-    """Whether a one-world frame of the logic refutes the goal: some
-    valuation of the atoms at its world makes every assumption true and the
-    goal false.
+@cache
+def _frame_bits(k: int, props: frozenset[str],
+                a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The atoms and missing edges of the frames `_frame_relations(k, props)`
+    over `a` atoms, in `_frames_refute`'s layout: a block of F * V bits per
+    world, F frames of V = 2**(a*k) valuation bits each.
 
-    The frames are `_frame_relations(1, props)`: a reflexive point, and a
-    dead end where the logic allows one.  `subs` lists each subformula of
-    the assumptions and goal after its children (`subformulas`), and each
-    one's truth over all 2**a valuations of its a atoms is one int, bit v
-    for valuation v.  At a reflexive point []f is true where f is; at a
-    dead end it is always true.  The world's row (T/F at the point, tt/ff
-    at the dead end) is its own support, so it survives every filter.  Such
-    rows number 2**a, so past `row_cap` the check is skipped (False) and
-    enumeration raises `RowLimitError` as it would without it.
+    Bit i*k + w of valuation v is atom i at world w, so atom i at world w is
+    `_atom_patterns(a*k)[i*k + w]` in every frame of world w's block.
+    `lacks[u]` sets the V bits of frame j in world w's block iff frame j has
+    no edge from w to u.
+    """
+    rels = _frame_relations(k, props)
+    n = 1 << a * k
+    B = len(rels) * n
+    frames = sum(1 << j * n for j in range(len(rels)))   # one bit per frame
+    patterns = _atom_patterns(a * k)
+    atoms = tuple(sum(patterns[i * k + w] * frames << w * B for w in range(k))
+                  for i in range(a))
+    lacks = tuple(sum(((1 << n) - 1) << w * B + j * n
+                      for j, rel in enumerate(rels) for w in range(k) if not rel[w, u])
+                  for u in range(k))
+    return atoms, lacks
+
+
+def _frames_refute(logic: Logic, subs: list[Formula], assumptions: tuple[Formula, ...],
+                   goal: Formula, k: int, row_cap: int) -> int:
+    """The worlds of k-world frames of the logic where every assumption holds
+    and the goal does not: non-zero iff such a frame refutes the goal.
+
+    One pass over `subs`, each subformula of the assumptions and goal after
+    its children (`subformulas`), checks every frame of
+    `_frame_relations(k, props)` at once.  Each subformula's truth is one
+    int laid out as [world][frame][valuation]: world w's block of B bits
+    holds F frames of 2**(a*k) valuations of the a atoms.  Implication is
+    bitwise; []f at w is the AND over successors u of f's block at u,
+    copied to every world, or-ed with `lacks[u]`, the worlds of the frames
+    without an edge to u (`_frame_bits`).  The bit of world w, frame j and
+    valuation v is bit (w * F + j) * 2**(a*k) + v.
+
+    A refuting world's row, by `logics.value_at`, is a table row, and the k
+    rows of its frame support each other, so they survive every filter: the
+    verdict is INVALID.  There are k * F * 2**(a*k) such world rows; past
+    `row_cap` the check is skipped (0), so a large input falls through to
+    enumeration, which raises `RowLimitError` as it would without it.
     """
     a = sum(type(f) is Atom for f in subs)
-    if 1 << a > row_cap:
-        return False
-    atoms = _atom_patterns(a)
-    full = (1 << (1 << a)) - 1
-    for rel in _frame_relations(1, logic.frame_props):
-        looped = bool(rel[0, 0])
-        truth: dict[Formula, int] = {}
-        atom = iter(atoms)
-        for f in subs:
-            t = type(f)
-            if t is Implies:
-                truth[f] = (full ^ truth[f.left]) | truth[f.right]
-            elif t is Box:
-                truth[f] = truth[f.operand] if looped else full
-            elif t is Atom:
-                truth[f] = next(atom)
-            else:  # falsum: `subformulas` admits only the four node kinds
-                truth[f] = 0
-        bad = full ^ truth[goal]
-        for f in assumptions:
-            bad &= truth[f]
-        if bad:
-            return True
-    return False
+    frames = len(_frame_relations(k, logic.frame_props))
+    B = frames << a * k
+    if k * B > row_cap:
+        return 0
+    atoms, lacks = _frame_bits(k, logic.frame_props, a)
+    full = (1 << k * B) - 1
+    block = (1 << B) - 1
+    worlds = range(B, k * B, B)
+    truth: dict[Formula, int] = {}
+    atom = iter(atoms)
+    for f in subs:
+        t = type(f)
+        if t is Implies:
+            truth[f] = (full ^ truth[f.left]) | truth[f.right]
+        elif t is Box:
+            g = truth[f.operand]
+            box = full
+            for u, lack in enumerate(lacks):
+                col = g >> u * B & block
+                copies = col
+                for shift in worlds:
+                    copies |= col << shift
+                box &= copies | lack
+            truth[f] = box
+        elif t is Atom:
+            truth[f] = next(atom)
+        else:  # falsum: `subformulas` admits only the four node kinds
+            truth[f] = 0
+    bad = full ^ truth[goal]
+    for f in assumptions:
+        bad &= truth[f]
+    return bad
 
 
 def decide(logic: Logic, assumptions, goal: Formula,
@@ -439,26 +480,41 @@ def decide(logic: Logic, assumptions, goal: Formula,
     """Consequence check over the filtered model of the combined closure.
 
     An assumption or goal that is not a `Formula` raises `FormulaError`
-    before any work.  A one-world frame refuting the goal
-    (`_one_world_refutes`, which reads only the subformula list) gives a
-    refuting row that survives every filter, so the verdict is INVALID
-    without building the canonical closure or enumerating.  Filtering only
-    deletes rows, so when no enumerated row refutes the goal the verdict is
-    VALID without filtering.  Otherwise the filtered model decides.  Either
-    way an INVALID verdict's `witness_index` is the first (in row order)
-    refuting row of the filtered model, found when it is read.
+    before any work.  Then the first of these stages that answers sets the
+    verdict's `stage`:
+
+    - "1-world": a one-world frame refutes the goal (`_frames_refute`).
+    - "early-valid": no row of the table refutes the goal.  The table is
+      enumerated over the subformula list in children-first order, which
+      holds the same rows as the canonical closure's, by other columns.
+      Filtering only deletes rows, so the verdict is VALID.
+    - "2-world", "3-world": a frame of two or three worlds refutes it.
+    - "filter": the filtered model of those same rows decides.
+
+    A refuting world of a frame gives a row that survives every filter, so
+    each frame stage is exact.  No stage builds the canonical closure.  An
+    INVALID verdict's `witness_index` is the first (in row order) refuting
+    row of the canonical filtered model, found when it is read.
     """
     assumptions = tuple(assumptions)
     for f in assumptions + (goal,):
         if not isinstance(f, Formula):
             raise FormulaError(f"not a formula: {f!r}")
     subs = subformulas(assumptions + (goal,))
-    verdict = Verdict(True, logic, goal, assumptions, row_cap)
-    if _one_world_refutes(logic, subs, assumptions, goal, row_cap):
-        verdict.valid = False
-    elif _refuting(verdict.closure, verdict.rows, assumptions, goal).any():
-        verdict.valid = not _refuting(verdict.closure, verdict.model.rows,
-                                      assumptions, goal).any()
+    verdict = Verdict(False, logic, goal, assumptions, row_cap, "1-world")
+    if _frames_refute(logic, subs, assumptions, goal, 1, row_cap):
+        return verdict
+    clo = Closure(tuple(subs))
+    rows = enumerate_rows(logic, clo, row_cap)
+    if not _refuting(clo, rows, assumptions, goal).any():
+        verdict.valid, verdict.stage = True, "early-valid"
+        return verdict
+    for k in (2, 3):
+        if _frames_refute(logic, subs, assumptions, goal, k, row_cap):
+            verdict.stage = f"{k}-world"
+            return verdict
+    verdict.valid = not _refuting(clo, filter_rows(logic, rows)[0], assumptions, goal).any()
+    verdict.stage = "filter"
     return verdict
 
 

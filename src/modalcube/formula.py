@@ -426,8 +426,18 @@ def subformulas(roots) -> list[Formula]:
     return out
 
 
+# The largest tree size of a closure member that `closure` prints for its
+# sort key.  Shared subtrees let a formula of a few hundred distinct
+# subformulas print as a tree of 2**60 nodes.
+CLOSURE_TREE_LIMIT = 1 << 20
+
+
 def closure(roots) -> Closure:
-    """Smallest subformula-closed set containing `roots`, canonically ordered."""
+    """Smallest subformula-closed set containing `roots`, canonically ordered.
+
+    Raises `FormulaError` on reaching a member of more than
+    `CLOSURE_TREE_LIMIT` nodes as a tree, before printing it.
+    """
     subs = subformulas(roots)
     if not subs:
         raise FormulaError("closure of an empty set")
@@ -437,13 +447,23 @@ def closure(roots) -> Closure:
         t = type(f)
         if t is Implies:
             (ls, lt), (rs, rt) = key[f.left], key[f.right]
-            key[f] = (1 + ls + rs, _operand(f.left, lt) + " -> " + rt)
+            s = 1 + ls + rs
+            if s > CLOSURE_TREE_LIMIT:
+                _too_large(s)
+            key[f] = (s, _operand(f.left, lt) + " -> " + rt)
         elif t is Box:
             s, text = key[f.operand]
+            if 1 + s > CLOSURE_TREE_LIMIT:
+                _too_large(1 + s)
             key[f] = (1 + s, "[]" + _operand(f.operand, text))
         else:
             key[f] = (1, f.name if t is Atom else "bot")
     return Closure(tuple(sorted(subs, key=key.__getitem__)))
+
+
+def _too_large(nodes: int):
+    raise FormulaError(f"closure member of {nodes} nodes as a tree exceeds the bound of "
+                       f"{CLOSURE_TREE_LIMIT}: the canonical order prints each member")
 
 
 def _operand(f: Formula, text: str) -> str:

@@ -4,11 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import modalcube
+from modalcube import cli, formula
 from modalcube.cli import main
 
 
@@ -275,6 +277,22 @@ def test_deeply_nested_formula(goal, error):
     else:
         assert proc.returncode == 1
         assert proc.stdout.startswith("INVALID\n")
+
+
+def test_commands_refuse_a_shared_tree_past_the_closure_bound(monkeypatch):
+    """60 nested `f = []f & f`, too long to print as an argument, given as
+    `f`: `table` and `decide` (which prints the witness) exit 2 on the
+    closure bound at once, where they used to run out of memory."""
+    f = formula.Atom("p")
+    for _ in range(60):
+        f = formula.land(formula.Box(f), f)
+    monkeypatch.setattr(cli, "parse", lambda text: f if text == "f" else formula.parse(text))
+    error = ("error: closure member of 1835000 nodes as a tree exceeds the bound of "
+             f"{formula.CLOSURE_TREE_LIMIT}: the canonical order prints each member\n")
+    for argv in (["table", "f"], ["decide", "f"]):
+        start = time.perf_counter()
+        assert run(argv) == (2, "", error)
+        assert time.perf_counter() - start < 1
 
 
 def test_commands_never_import_numpy_ma():

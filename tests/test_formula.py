@@ -1,8 +1,10 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from modalcube.formula import (
-    Atom, Box, Falsum, FormulaError, Implies, ParseError, children, closure,
+    CLOSURE_TREE_LIMIT, Atom, Box, Falsum, FormulaError, Implies, ParseError, children, closure,
     instantiate, land, ldia, lnot, lor, parse, print_formula, size, subformulas,
 )
 
@@ -186,6 +188,32 @@ def test_subformulas_list_a_shared_subtree_once():
         f = land(Box(f), f)
     subs = subformulas([f])
     assert len(subs) == len(set(subs)) == 242 and subs[-1] is f
+
+
+def test_closure_refuses_a_shared_tree_past_the_bound():
+    """60 nested `f = []f & f` print as a tree of more than 2**60 nodes.
+    `closure` raises on the first member past the bound, 1835000 nodes,
+    before printing it, where it used to run out of memory."""
+    f = Atom("p")
+    for _ in range(60):
+        f = land(Box(f), f)
+    start = time.perf_counter()
+    with pytest.raises(FormulaError, match="^closure member of 1835000 nodes as a tree "
+                                           f"exceeds the bound of {CLOSURE_TREE_LIMIT}: "):
+        closure([f])
+    assert time.perf_counter() - start < 1
+
+
+def test_closure_takes_a_tree_at_the_bound():
+    """`f = f -> f` nested 19 times has 2**20 - 1 nodes as a tree: boxed
+    once it is at the bound, and boxed twice one node past it."""
+    f = p
+    for _ in range(19):
+        f = Implies(f, f)
+    assert CLOSURE_TREE_LIMIT == 1 << 20
+    assert len(closure([Box(f)])) == 21
+    with pytest.raises(FormulaError, match=f"^closure member of {CLOSURE_TREE_LIMIT + 1} nodes"):
+        closure([Box(Box(f))])
 
 
 @pytest.mark.parametrize("bad", ["p", None, 0])
