@@ -282,7 +282,7 @@ def main(argv=None, out=None, err=None) -> int:
         print(f"error: {e}", file=err)
         return 2
     except RecursionError:
-        # the printer and the evaluators recurse once per nesting level
+        # `random_formula` recurses once per level of xcheck's --max-depth
         print("error: formula nested too deeply", file=err)
         return 2
 

@@ -356,8 +356,8 @@ class Verdict:
         if self.witness_index is None:
             return None
         row = self.model.rows[self.witness_index]
-        return {print_formula(f, resugar=True): values.VALUE_NAMES[v]
-                for f, v in zip(self.closure.formulas, row)}
+        return {text: values.VALUE_NAMES[v]
+                for text, v in zip(self.closure.texts(resugar=True), row)}
 
     def __str__(self) -> str:
         return "VALID" if self.valid else "INVALID"
@@ -641,7 +641,7 @@ def _row_items(rows: np.ndarray) -> list[str]:
 def _model_payload(model: TableModel, rows, relation) -> dict:
     return {
         "logic": model.logic.name,
-        "closure": [print_formula(f, resugar=True) for f in model.closure.formulas],
+        "closure": model.closure.texts(resugar=True),
         "rows": rows,
         "relation": relation,
     }
@@ -660,7 +660,7 @@ def model_to_json(model: TableModel) -> str:
 
 
 def model_to_csv(model: TableModel) -> str:
-    lines = [",".join(print_formula(f, resugar=True) for f in model.closure.formulas)]
+    lines = [",".join(model.closure.texts(resugar=True))]
     for row in model.rows:
         lines.append(",".join(values.VALUE_NAMES[v] for v in row))
     return "\n".join(lines) + "\n"
@@ -668,14 +668,14 @@ def model_to_csv(model: TableModel) -> str:
 
 def levels_to_json_dict(clo: Closure, levels: list[np.ndarray]) -> dict:
     return {
-        "closure": [print_formula(f, resugar=True) for f in clo.formulas],
+        "closure": clo.texts(resugar=True),
         "levels": [[[values.VALUE_NAMES[v] for v in row] for row in level]
                    for level in levels],
     }
 
 
 def levels_to_csv(clo: Closure, levels: list[np.ndarray]) -> str:
-    header = ["level"] + [print_formula(f, resugar=True) for f in clo.formulas]
+    header = ["level"] + clo.texts(resugar=True)
     lines = [",".join(header)]
     for k, level in enumerate(levels):
         for row in level:

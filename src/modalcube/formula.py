@@ -142,18 +142,6 @@ def children(f: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-def atom_names(f: Formula) -> set[str]:
-    out: set[str] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Atom):
-            out.add(g.name)
-        else:
-            stack.extend(children(g))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -266,65 +254,61 @@ def parse(text: str) -> Formula:
 _IMP, _OR, _AND, _UNARY = 0, 1, 2, 3
 
 
+def _is_not(x: Formula) -> bool:
+    """x is a -> bot."""
+    return isinstance(x, Implies) and isinstance(x.right, Falsum)
+
+
 def _is_dia(x: Formula) -> bool:
-    return (isinstance(x, Implies) and isinstance(x.right, Falsum)
-            and isinstance(x.left, Box) and isinstance(x.left.operand, Implies)
-            and isinstance(x.left.operand.right, Falsum))
+    """x is !([]!a)."""
+    return _is_not(x) and isinstance(x.left, Box) and _is_not(x.left.operand)
 
 
-def _sugar_view(x: Formula):
-    """Recognize a desugared connective pattern.
+def _printed(subs, resugar: bool = False) -> dict[Formula, tuple[str, int]]:
+    """(text, precedence) of each formula of the children-first list `subs`.
 
-    Diamond is checked before negation (it is the special case !([]!a)) and
-    conjunction before negation (it is !(a -> !b)); otherwise every a -> bot
-    prints as a negation.  An implication whose antecedent is a diamond is
-    kept as an implication; reading the diamond's outer negation as the
-    '!' of '!a -> b' would print it as a disjunction.
+    One pass, no recursion.  A formula prints the same wherever it occurs,
+    and it is wrapped in parentheses exactly when its own precedence is
+    below its context's, so each text is built once from its children's.
+    Every text is kept until the pass ends: a chain of n nodes keeps
+    texts of total length quadratic in n.
+
+    Resugaring checks diamond before negation (it is the special case
+    !([]!a)) and conjunction before negation (it is !(a -> !b)); otherwise
+    every a -> bot prints as a negation.  An implication whose antecedent is
+    a diamond is kept as an implication; reading the diamond's outer
+    negation as the '!' of '!a -> b' would print it as a disjunction.
     """
-    if not isinstance(x, Implies):
-        return None
-    l, r = x.left, x.right
-    if isinstance(r, Falsum):
-        if _is_dia(x):
-            return ("dia", l.operand.left)
-        if (isinstance(l, Implies) and isinstance(l.right, Implies)
-                and isinstance(l.right.right, Falsum)):
-            return ("and", l.left, l.right.left)
-        return ("not", l)
-    if isinstance(l, Implies) and isinstance(l.right, Falsum) and not _is_dia(l):
-        return ("or", l.left, r)
-    return None
+    out: dict[Formula, tuple[str, int]] = {}
+
+    def arg(x: Formula, context: int) -> str:
+        text, mine = out[x]
+        return f"({text})" if mine < context else text
+
+    for x in subs:
+        t = type(x)
+        if t is Atom:
+            out[x] = (x.name, _UNARY)
+        elif t is Falsum:
+            out[x] = ("bot", _UNARY)
+        elif t is Box:
+            out[x] = ("[]" + arg(x.operand, _UNARY), _UNARY)
+        elif resugar and _is_dia(x):
+            out[x] = ("<>" + arg(x.left.operand.left, _UNARY), _UNARY)
+        elif resugar and _is_not(x) and isinstance(x.left, Implies) and _is_not(x.left.right):
+            out[x] = (arg(x.left.left, _AND) + " & " + arg(x.left.right.left, _UNARY), _AND)
+        elif resugar and _is_not(x):
+            out[x] = ("!" + arg(x.left, _UNARY), _UNARY)
+        elif resugar and _is_not(x.left) and not _is_dia(x.left):
+            out[x] = (arg(x.left.left, _OR) + " | " + arg(x.right, _AND), _OR)
+        else:
+            out[x] = (arg(x.left, _OR) + " -> " + arg(x.right, _IMP), _IMP)
+    return out
 
 
 def print_formula(f: Formula, resugar: bool = False) -> str:
     """Render a formula; parse(print_formula(f, ...)) is structurally f."""
-
-    def go(x: Formula, level: int) -> str:
-        if isinstance(x, Atom):
-            return x.name
-        if isinstance(x, Falsum):
-            return "bot"
-        if isinstance(x, Box):
-            return "[]" + go(x.operand, _UNARY)
-        if resugar:
-            view = _sugar_view(x)
-            if view is not None:
-                if view[0] == "not":
-                    return _wrap("!" + go(view[1], _UNARY), _UNARY, level)
-                if view[0] == "dia":
-                    return _wrap("<>" + go(view[1], _UNARY), _UNARY, level)
-                if view[0] == "and":
-                    s = go(view[1], _AND) + " & " + go(view[2], _UNARY)
-                    return _wrap(s, _AND, level)
-                s = go(view[1], _OR) + " | " + go(view[2], _AND)
-                return _wrap(s, _OR, level)
-        s = go(x.left, _OR) + " -> " + go(x.right, _IMP)
-        return _wrap(s, _IMP, level)
-
-    def _wrap(s: str, mine: int, context: int) -> str:
-        return f"({s})" if mine < context else s
-
-    return go(f, _IMP)
+    return _printed(subformulas([f]), resugar)[f][0]
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +365,11 @@ class Closure:
     def atom_positions(self) -> dict[str, int]:
         return {g.name: i for i, g in enumerate(self.formulas) if isinstance(g, Atom)}
 
+    def texts(self, resugar: bool = False) -> list[str]:
+        """`print_formula(f, resugar)` of each member, in one pass."""
+        printed = _printed(self.formulas, resugar)
+        return [printed[f][0] for f in self.formulas]
+
     def structure(self) -> tuple[tuple[str, int, int], ...]:
         """Per position: (kind, arg1, arg2) with positions of the arguments.
 
@@ -436,50 +425,45 @@ def closure(roots) -> Closure:
     """Smallest subformula-closed set containing `roots`, canonically ordered.
 
     Raises `FormulaError` on reaching a member of more than
-    `CLOSURE_TREE_LIMIT` nodes as a tree, before printing it.
+    `CLOSURE_TREE_LIMIT` nodes as a tree, before printing any member.
     """
     subs = subformulas(roots)
     if not subs:
         raise FormulaError("closure of an empty set")
-    # (size, core print) of each member, built from its children's keys
-    key: dict[Formula, tuple[int, str]] = {}
+    sizes: dict[Formula, int] = {}
     for f in subs:
         t = type(f)
         if t is Implies:
-            (ls, lt), (rs, rt) = key[f.left], key[f.right]
-            s = 1 + ls + rs
-            if s > CLOSURE_TREE_LIMIT:
-                _too_large(s)
-            key[f] = (s, _operand(f.left, lt) + " -> " + rt)
+            s = 1 + sizes[f.left] + sizes[f.right]
         elif t is Box:
-            s, text = key[f.operand]
-            if 1 + s > CLOSURE_TREE_LIMIT:
-                _too_large(1 + s)
-            key[f] = (1 + s, "[]" + _operand(f.operand, text))
+            s = 1 + sizes[f.operand]
         else:
-            key[f] = (1, f.name if t is Atom else "bot")
-    return Closure(tuple(sorted(subs, key=key.__getitem__)))
-
-
-def _too_large(nodes: int):
-    raise FormulaError(f"closure member of {nodes} nodes as a tree exceeds the bound of "
-                       f"{CLOSURE_TREE_LIMIT}: the canonical order prints each member")
-
-
-def _operand(f: Formula, text: str) -> str:
-    """The core print of `f` as a box operand or an antecedent."""
-    return f"({text})" if isinstance(f, Implies) else text
+            s = 1
+        if s > CLOSURE_TREE_LIMIT:
+            raise FormulaError(f"closure member of {s} nodes as a tree exceeds the bound of "
+                               f"{CLOSURE_TREE_LIMIT}: the canonical order prints each member")
+        sizes[f] = s
+    printed = _printed(subs)
+    return Closure(tuple(sorted(subs, key=lambda f: (sizes[f], printed[f][0]))))
 
 
 def instantiate(schema: Formula, binding: dict[str, Formula]) -> Formula:
-    """Uniform substitution of atoms; every schema atom must be bound."""
-    if isinstance(schema, Atom):
-        if schema.name not in binding:
-            raise FormulaError(f"unbound metavariable {schema.name!r}")
-        return binding[schema.name]
-    if isinstance(schema, Falsum):
-        return schema
-    if isinstance(schema, Box):
-        return Box(instantiate(schema.operand, binding))
-    return Implies(instantiate(schema.left, binding),
-                   instantiate(schema.right, binding))
+    """Uniform substitution of atoms; every schema atom must be bound to a
+    formula.  Built bottom-up over the schema's subformulas."""
+    out: dict[Formula, Formula] = {}
+    for f in subformulas([schema]):
+        t = type(f)
+        if t is Atom:
+            if f.name not in binding:
+                raise FormulaError(f"unbound metavariable {f.name!r}")
+            g = binding[f.name]
+            if not isinstance(g, Formula):
+                raise FormulaError(f"metavariable {f.name!r} is bound to {g!r}, not a formula")
+            out[f] = g
+        elif t is Falsum:
+            out[f] = f
+        elif t is Box:
+            out[f] = Box(out[f.operand])
+        else:
+            out[f] = Implies(out[f.left], out[f.right])
+    return out[schema]

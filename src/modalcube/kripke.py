@@ -22,7 +22,7 @@ import numpy as np
 from .decision import (
     ClosureImpossibleError, TableModel, _edge_items, _json_spliced, frame_relation,
 )
-from .formula import Atom, Falsum, Formula, Implies, atom_names
+from .formula import Atom, Falsum, Formula, Implies, subformulas
 from .logics import (
     _MAX_RELATION_BITS, Logic, _check_names, _compose, _frame_relations, _holds, _missing,
 )
@@ -123,36 +123,36 @@ def to_kripke(model: TableModel) -> KripkeModel:
 # Forcing
 # ---------------------------------------------------------------------------
 
-def _truth(f: Formula, rel: np.ndarray, vals: dict[str, np.ndarray],
-           false: np.ndarray, cache: dict) -> np.ndarray:
-    """Truth of f at every world, worlds before valuations: (n,) for one
-    relation and valuation, (..., n, V) for a batch of relations (..., n, n)
-    and of valuations (n, V).
+def _truth(subs, rel: np.ndarray, vals: dict[str, np.ndarray],
+           false: np.ndarray) -> dict[Formula, np.ndarray]:
+    """Truth of each formula of the children-first list `subs` at every
+    world, worlds before valuations: (n,) for one relation and valuation,
+    (..., n, V) for a batch of relations (..., n, n) and of valuations
+    (n, V).
 
     Atoms and falsum keep the valuation shape `false` has (an atom with no
     valuation is false everywhere); a box broadcasts them against `rel`.
     """
-    if f in cache:
-        return cache[f]
-    if isinstance(f, Atom):
-        out = vals.get(f.name, false)
-    elif isinstance(f, Falsum):
-        out = false
-    elif isinstance(f, Implies):
-        out = ~_truth(f.left, rel, vals, false, cache) | _truth(f.right, rel, vals, false, cache)
-    else:
-        sub = _truth(f.operand, rel, vals, false, cache)
-        # true at w iff no successor falsifies the operand
-        out = ~_compose(rel, ~sub)
-    cache[f] = out
-    return out
+    truth: dict[Formula, np.ndarray] = {}
+    for f in subs:
+        t = type(f)
+        if t is Atom:
+            truth[f] = vals.get(f.name, false)
+        elif t is Falsum:
+            truth[f] = false
+        elif t is Implies:
+            truth[f] = ~truth[f.left] | truth[f.right]
+        else:
+            # true at w iff no successor falsifies the operand
+            truth[f] = ~_compose(rel, ~truth[f.operand])
+    return truth
 
 
 def forces(k: KripkeModel, world: int, f: Formula) -> bool:
     if not (0 <= world < k.world_count):
         raise IndexError(f"world {world} out of range")
     false = np.zeros(k.world_count, dtype=bool)
-    return bool(_truth(f, k.relation, k.valuation, false, {})[world])
+    return bool(_truth(subformulas([f]), k.relation, k.valuation, false)[f][world])
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,8 @@ def oracle_decide(logic: Logic, assumptions, goal: Formula,
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     assumptions = tuple(assumptions)
-    atoms = sorted(set().union(*(atom_names(f) for f in assumptions + (goal,))))
+    subs = subformulas(assumptions + (goal,))
+    atoms = sorted(f.name for f in subs if type(f) is Atom)
     for n in range(1, max_worlds + 1):
         if n * n > _MAX_RELATION_BITS:
             raise OracleBudgetError(f"{n} worlds: relation space too large")
@@ -210,10 +211,10 @@ def oracle_decide(logic: Logic, assumptions, goal: Formula,
         chunk = max(1, (1 << 24) // max(1, nval * n))
         for c0 in range(0, rels.shape[0], chunk):
             sub = rels[c0:c0 + chunk]
-            cache: dict = {}
-            hit = ~_truth(goal, sub, vals, false, cache)
+            truth = _truth(subs, sub, vals, false)
+            hit = ~truth[goal]
             for a in assumptions:
-                hit = hit & _truth(a, sub, vals, false, cache)
+                hit = hit & truth[a]
             # search order (relation, valuation, world)
             hit = np.broadcast_to(hit, (sub.shape[0], n, nval)).transpose(0, 2, 1)
             if hit.any():

@@ -195,3 +195,42 @@ def forced(rel, valuation: dict, f, memo: dict | None = None) -> list[bool]:
         return memo[g]
 
     return truth(f)
+
+
+def printed(f, resugar: bool = False) -> str:
+    """The text of f, one recursive call per node printed.  Precedences are
+    0 for '->', 1 for '|', 2 for '&' and 3 for the prefixes; a formula is
+    parenthesized where it binds looser than its place.  Resugared, a -> bot
+    prints as !a, !([]!a) as <>a, !(a -> !b) as a & b, and !a -> b as a | b
+    unless !a is a diamond."""
+
+    def negated(g):
+        """a, when g is a -> bot."""
+        return g.left if isinstance(g, Implies) and isinstance(g.right, Falsum) else None
+
+    def dia(g):
+        """a, when g is !([]!a)."""
+        a = negated(g)
+        return negated(a.operand) if isinstance(a, Box) else None
+
+    def go(g, place: int) -> str:
+        if isinstance(g, Falsum):
+            return "bot"
+        if isinstance(g, Box):
+            return "[]" + go(g.operand, 3)
+        if not isinstance(g, Implies):
+            return g.name
+        a = negated(g) if resugar else None
+        if a is not None and dia(g) is not None:
+            text, mine = "<>" + go(dia(g), 3), 3
+        elif isinstance(a, Implies) and negated(a.right) is not None:
+            text, mine = go(a.left, 2) + " & " + go(negated(a.right), 3), 2
+        elif a is not None:
+            text, mine = "!" + go(a, 3), 3
+        elif resugar and negated(g.left) is not None and dia(g.left) is None:
+            text, mine = go(negated(g.left), 1) + " | " + go(g.right, 2), 1
+        else:
+            text, mine = go(g.left, 1) + " -> " + go(g.right, 0), 0
+        return f"({text})" if mine < place else text
+
+    return go(f, 0)

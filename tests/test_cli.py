@@ -279,6 +279,17 @@ def test_deeply_nested_formula(goal, error):
         assert proc.stdout.startswith("INVALID\n")
 
 
+def test_oracle_answers_a_deeply_nested_formula():
+    # 400 diamonds parse within the limit and are 1601 core nodes deep; the
+    # oracle's forcing walks them bottom-up.  A fresh interpreter, as above.
+    env = {**os.environ, "PYTHONPATH": str(Path(modalcube.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "modalcube.cli", "oracle", "--logic", "KT",
+                           "--max-worlds", "1", "<>" * 400 + "p"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (1, "COUNTERMODEL(1 worlds, world 0)\n", "")
+
+
 def test_commands_refuse_a_shared_tree_past_the_closure_bound(monkeypatch):
     """60 nested `f = []f & f`, too long to print as an argument, given as
     `f`: `table` and `decide` (which prints the witness) exit 2 on the

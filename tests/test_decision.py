@@ -24,7 +24,7 @@ from modalcube.decision import (
 )
 from modalcube.formula import (
     Atom, Box, Closure, Falsum, FormulaError, Implies, children, closure, instantiate, land,
-    parse, print_formula, subformulas,
+    lnot, parse, print_formula, subformulas,
 )
 from modalcube.kripke import (
     KripkeModel, _truth, check_frame, forces, frame_props, oracle_decide, to_kripke,
@@ -859,9 +859,8 @@ def _certificate(logic, subs, assumptions, goal, k):
     rel = rels[frame]
     valuation = {name: np.array([v >> i * k + u & 1 for u in range(k)], dtype=bool)
                  for i, name in enumerate(atoms)}
-    cache = {}
-    truth = np.stack([_truth(f, rel, valuation, np.zeros(k, dtype=bool), cache) for f in subs],
-                     axis=1)
+    truth = _truth(subs, rel, valuation, np.zeros(k, dtype=bool))
+    truth = np.stack([truth[f] for f in subs], axis=1)
     return rel, value_at(rel, truth), world
 
 
@@ -906,6 +905,43 @@ def _cube_entries():
             for qid, q in sorted(queries.items())
             if q["kind"] == "decide" and (qid.startswith("cube/axiom/") or (
                 qid.startswith("cube/pool/") and not q["expect"]["uint8_wraps"]))]
+
+
+def test_closure_texts_match_per_member_and_reference_prints():
+    """One pass over a closure prints each member as `print_formula` and the
+    recursive reference printer do, core and resugared, on every closure of
+    the cube and rel entries of `perfbench/expected.json`."""
+    queries = json.loads(_EXPECTED.read_text())["queries"]
+    checked = 0
+    for qid, q in sorted(queries.items()):
+        if not qid.startswith(("cube/", "rel/")):
+            continue
+        texts = q.get("assumptions", []) + [q["goal"] if "goal" in q else q["formula"]]
+        clo = closure([parse(t) for t in texts])
+        for resugar in (False, True):
+            expected = [ref.printed(f, resugar) for f in clo.formulas]
+            assert clo.texts(resugar) == expected, qid
+            assert [print_formula(f, resugar) for f in clo.formulas] == expected, qid
+        checked += 1
+    assert checked == 2169
+
+
+def test_deep_formula_built_through_the_api():
+    """1500 negations of p, past the recursion limit, built with `lnot`:
+    printing, substitution, forcing, the oracle and the witness all walk the
+    subformula list without recursing."""
+    f = p
+    for _ in range(1500):
+        f = lnot(f)
+    assert print_formula(f) == str(f) == "(" * 1499 + "p" + " -> bot)" * 1499 + " -> bot"
+    assert print_formula(f, resugar=True) == "!" * 1500 + "p"
+    assert print_formula(instantiate(f, {"p": Box(q)}), resugar=True) == "!" * 1500 + "[]q"
+    model = KripkeModel(np.zeros((1, 1), dtype=bool), {"p": np.array([True])})
+    assert forces(model, 0, f)
+    assert str(oracle_decide(lookup("K"), [], f, 1)) == "COUNTERMODEL(1 worlds, world 0)"
+    witness = decide(lookup("K"), [], f).witness()
+    assert len(witness) == 1502
+    assert value_id(witness["!" * 1500 + "p"]) not in values.values_in(values.D_MASK)
 
 
 def test_stages_of_the_cube_entries():

@@ -3,6 +3,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+import reference as ref
 from modalcube.formula import (
     CLOSURE_TREE_LIMIT, Atom, Box, Falsum, FormulaError, Implies, ParseError, children, closure,
     instantiate, land, ldia, lnot, lor, parse, print_formula, size, subformulas,
@@ -240,6 +241,12 @@ def test_instantiate():
         instantiate(schema_k, {"a": p})
 
 
+@pytest.mark.parametrize("schema", ["a", "[]a"])
+def test_instantiate_refuses_a_value_that_is_not_a_formula(schema):
+    with pytest.raises(FormulaError, match="metavariable 'a' is bound to 5, not a formula"):
+        instantiate(parse(schema), {"a": 5})
+
+
 # random ASTs for round-trip properties
 def formulas(max_leaves=8):
     leaf = st.one_of(st.sampled_from([Atom("p"), Atom("q"), Atom("r"), BOT]))
@@ -265,6 +272,12 @@ def test_print_parse_roundtrip_core(f):
 @given(formulas())
 def test_print_parse_roundtrip_resugared(f):
     assert parse(print_formula(f, resugar=True)) == f
+
+
+@given(formulas())
+def test_printer_matches_the_recursive_reference(f):
+    for resugar in (False, True):
+        assert print_formula(f, resugar) == ref.printed(f, resugar)
 
 
 @given(formulas())

@@ -11,8 +11,8 @@ from modalcube import kripke, values
 from modalcube.cli import random_formula
 from modalcube.decision import _cells, _union_tables, extend_column, filter_model
 from modalcube.formula import (
-    Atom, Box, Falsum, Implies, atom_names, closure, instantiate, lnot, parse,
-    print_formula,
+    Atom, Box, Falsum, Implies, closure, instantiate, lnot, parse, print_formula,
+    subformulas,
 )
 from modalcube.kripke import (
     ClosureImpossibleError, KripkeModel, OracleBudgetError, check_frame,
@@ -428,7 +428,8 @@ def test_oracle_atom_budget_counts_labelled_relations():
 def _search_every_frame(logic, assumptions, goal, max_worlds):
     """oracle_decide's search, in (relation, valuation, world) order, over
     every labelled relation with the logic's frame properties."""
-    atoms = sorted(set().union(*(atom_names(f) for f in [*assumptions, goal])))
+    subs = subformulas([*assumptions, goal])
+    atoms = sorted(f.name for f in subs if isinstance(f, Atom))
     for n in range(1, max_worlds + 1):
         rels = ref.all_relations(n)
         rels = rels[_holds(rels, frame_props(logic))]
@@ -436,10 +437,10 @@ def _search_every_frame(logic, assumptions, goal, max_worlds):
         vals = {name: (vmasks >> (k * n + np.arange(n))[:, None]) & 1 == 1
                 for k, name in enumerate(atoms)}
         false = np.zeros((n, len(vmasks)), dtype=bool)
-        cache = {}
-        hit = ~kripke._truth(goal, rels, vals, false, cache)
+        truth = kripke._truth(subs, rels, vals, false)
+        hit = ~truth[goal]
         for a in assumptions:
-            hit = hit & kripke._truth(a, rels, vals, false, cache)
+            hit = hit & truth[a]
         hit = np.broadcast_to(hit, (len(rels), n, len(vmasks))).transpose(0, 2, 1)
         if hit.any():
             ri, vi, wi = np.unravel_index(np.argmax(hit), hit.shape)

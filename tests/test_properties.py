@@ -126,12 +126,12 @@ def test_validity_is_closed_under_necessitation(logic_name):
 
 
 def test_validity_is_closed_under_substitution(logic_name):
-    from modalcube.formula import atom_names
+    from modalcube.formula import Atom, subformulas
     logic = lookup(logic_name)
     replacement = parse("[]q | !p")
     checked = 0
     for goal in _random_goals(101, 60):
-        names = atom_names(goal)
+        names = {f.name for f in subformulas([goal]) if isinstance(f, Atom)}
         if not names or not decide(logic, [], goal).valid:
             continue
         checked += 1
