@@ -357,7 +357,7 @@ class Verdict:
             return None
         row = self.model.rows[self.witness_index]
         return {text: values.VALUE_NAMES[v]
-                for text, v in zip(self.closure.texts(resugar=True), row)}
+                for text, v in zip(self.closure.texts(), row)}
 
     def __str__(self) -> str:
         return "VALID" if self.valid else "INVALID"
@@ -641,7 +641,7 @@ def _row_items(rows: np.ndarray) -> list[str]:
 def _model_payload(model: TableModel, rows, relation) -> dict:
     return {
         "logic": model.logic.name,
-        "closure": model.closure.texts(resugar=True),
+        "closure": model.closure.texts(),
         "rows": rows,
         "relation": relation,
     }
@@ -660,7 +660,7 @@ def model_to_json(model: TableModel) -> str:
 
 
 def model_to_csv(model: TableModel) -> str:
-    lines = [",".join(model.closure.texts(resugar=True))]
+    lines = [",".join(model.closure.texts())]
     for row in model.rows:
         lines.append(",".join(values.VALUE_NAMES[v] for v in row))
     return "\n".join(lines) + "\n"
@@ -668,14 +668,14 @@ def model_to_csv(model: TableModel) -> str:
 
 def levels_to_json_dict(clo: Closure, levels: list[np.ndarray]) -> dict:
     return {
-        "closure": clo.texts(resugar=True),
+        "closure": clo.texts(),
         "levels": [[[values.VALUE_NAMES[v] for v in row] for row in level]
                    for level in levels],
     }
 
 
 def levels_to_csv(clo: Closure, levels: list[np.ndarray]) -> str:
-    header = ["level"] + clo.texts(resugar=True)
+    header = ["level"] + clo.texts()
     lines = [",".join(header)]
     for k, level in enumerate(levels):
         for row in level:

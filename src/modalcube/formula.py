@@ -255,12 +255,10 @@ _IMP, _OR, _AND, _UNARY = 0, 1, 2, 3
 
 
 def _is_not(x: Formula) -> bool:
-    """x is a -> bot."""
     return isinstance(x, Implies) and isinstance(x.right, Falsum)
 
 
 def _is_dia(x: Formula) -> bool:
-    """x is !([]!a)."""
     return _is_not(x) and isinstance(x.left, Box) and _is_not(x.left.operand)
 
 
@@ -365,9 +363,9 @@ class Closure:
     def atom_positions(self) -> dict[str, int]:
         return {g.name: i for i, g in enumerate(self.formulas) if isinstance(g, Atom)}
 
-    def texts(self, resugar: bool = False) -> list[str]:
-        """`print_formula(f, resugar)` of each member, in one pass."""
-        printed = _printed(self.formulas, resugar)
+    def texts(self) -> list[str]:
+        """`print_formula(f, resugar=True)` of each member, in one pass."""
+        printed = _printed(self.formulas, True)
         return [printed[f][0] for f in self.formulas]
 
     def structure(self) -> tuple[tuple[str, int, int], ...]:
