@@ -318,13 +318,16 @@ class Verdict:
     "early-valid", "2-world", "3-world" or "filter".  `closure` is the
     canonical closure of the assumptions and the goal, built on its first
     read; `rows` is its enumerated table, built on its first read with the
-    verdict's `row_cap`; `model` is the filtered table, built from `rows` on
-    its first read; and `witness_index` is the first row of `model` that
-    refutes the goal (None for a VALID verdict), found on its first read.
-    `decide` works on the subformula list and keeps none of these, so
-    reading `rows`, `model`, `witness_index` or `witness()` may raise
-    `RowLimitError` or `WorkLimitError`, and reading `closure` may raise
-    `FormulaError` (`formula.closure`).
+    verdict's `row_cap`; `model` is the filtered table, built on its first
+    read; and `witness_index` is the first row of `model` that refutes the
+    goal (None for a VALID verdict), found on its first read.  `decide`
+    works on the subformula list and keeps none of these.  At stage
+    "filter" it keeps its survivors, and `model` puts their columns in
+    closure order and sorts the rows, which is the canonical table filtered;
+    at any other stage `model` filters `rows`.  So reading `rows`, `model`,
+    `witness_index` or `witness()` may raise `RowLimitError` or
+    `WorkLimitError`, and reading `closure` may raise `FormulaError`
+    (`formula.closure`).
     """
     valid: bool
     logic: Logic = field(repr=False)
@@ -332,6 +335,8 @@ class Verdict:
     assumptions: tuple[Formula, ...]
     row_cap: int = field(default=ROW_CAP_DEFAULT, repr=False, compare=False)
     stage: str | None = field(default=None, compare=False)
+    # the filter stage's survivors over the children-first subformula list
+    _survivors: TableModel | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def closure(self) -> Closure:
@@ -343,7 +348,13 @@ class Verdict:
 
     @cached_property
     def model(self) -> TableModel:
-        return _filtered(self.logic, self.closure, self.rows)
+        if self._survivors is None:
+            return _filtered(self.logic, self.closure, self.rows)
+        # the same rows as filtering the canonical table, by other columns
+        kept = self._survivors
+        rows = kept.rows[:, [kept.closure.position(f) for f in self.closure.formulas]]
+        rows = rows[np.lexsort(rows.T[::-1])]
+        return TableModel(self.logic, self.closure, rows, kept.iterations)
 
     @cached_property
     def witness_index(self) -> int | None:
@@ -494,7 +505,8 @@ def decide(logic: Logic, assumptions, goal: Formula,
     A refuting world of a frame gives a row that survives every filter, so
     each frame stage is exact.  No stage builds the canonical closure.  An
     INVALID verdict's `witness_index` is the first (in row order) refuting
-    row of the canonical filtered model, found when it is read.
+    row of the canonical filtered model, found when it is read; at stage
+    "filter" that model is the survivors, reordered, not a second filter.
     """
     assumptions = tuple(assumptions)
     for f in assumptions + (goal,):
@@ -513,8 +525,9 @@ def decide(logic: Logic, assumptions, goal: Formula,
         if _frames_refute(logic, subs, assumptions, goal, k, row_cap):
             verdict.stage = f"{k}-world"
             return verdict
-    verdict.valid = not _refuting(clo, filter_rows(logic, rows)[0], assumptions, goal).any()
-    verdict.stage = "filter"
+    survivors = _filtered(logic, clo, rows)
+    verdict.valid = not _refuting(clo, survivors.rows, assumptions, goal).any()
+    verdict.stage, verdict._survivors = "filter", survivors
     return verdict
 
 

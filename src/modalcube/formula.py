@@ -174,76 +174,54 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
-                             tok[2])
-        return tok
-
-    def parse_formula(self) -> Formula:
-        left = self.parse_or()
-        if self.peek()[0] == "->":
-            self.advance()
-            return Implies(left, self.parse_formula())
-        return left
-
-    def parse_or(self) -> Formula:
-        out = self.parse_and()
-        while self.peek()[0] == "|":
-            self.advance()
-            out = lor(out, self.parse_and())
-        return out
-
-    def parse_and(self) -> Formula:
-        out = self.parse_unary()
-        while self.peek()[0] == "&":
-            self.advance()
-            out = land(out, self.parse_unary())
-        return out
-
-    def parse_unary(self) -> Formula:
-        kind, value, pos = self.advance()
-        if kind == "!":
-            return lnot(self.parse_unary())
-        if kind == "[]":
-            return Box(self.parse_unary())
-        if kind == "<>":
-            return ldia(self.parse_unary())
-        if kind == "bot":
-            return BOT
-        if kind == "atom":
-            return Atom(value)
-        if kind == "(":
-            inner = self.parse_formula()
-            self.expect(")")
-            return inner
-        raise ParseError(f"expected a formula, found {value or 'end of input'!r}", pos)
+_PREFIX = {"!": lnot, "[]": Box, "<>": ldia}
+# binding strength and constructor of each binary connective
+_BINARY = {"->": (0, Implies), "|": (1, lor), "&": (2, land)}
 
 
 def parse(text: str) -> Formula:
-    """Parse ASCII syntax into the desugared core AST."""
-    p = _Parser(text)
-    try:
-        out = p.parse_formula()
-    except RecursionError:
-        # the parser recurses once per nesting level
-        raise ParseError("formula nested too deeply", p.peek()[2]) from None
-    p.expect("eof")
-    return out
+    """Parse ASCII syntax into the desugared core AST.
+
+    One pass over the tokens with an explicit stack of pending prefix
+    operators, open parentheses and binary connectives (each with its left
+    operand), so any depth parses.  A complete operand takes the prefix
+    operators before it at once.  A binary connective first closes the
+    pending ones that bind at least as tightly ('->' only those that bind
+    tighter: it is right-associative); any other token closes all of them
+    back to the innermost open parenthesis, which it must then close, or
+    back to the start, where it must be the end of input.
+    """
+    stack: list[tuple[str, Formula | None]] = []
+    operand: Formula | None = None
+    for kind, value, pos in _tokenize(text):
+        if operand is None:
+            if kind in _PREFIX or kind == "(":
+                stack.append((kind, None))
+                continue
+            if kind == "atom":
+                operand = Atom(value)
+            elif kind == "bot":
+                operand = BOT
+            else:
+                raise ParseError(f"expected a formula, found {value or 'end of input'!r}", pos)
+        else:
+            floor = max(_BINARY[kind][0], 1) if kind in _BINARY else 0
+            while stack and stack[-1][0] in _BINARY and _BINARY[stack[-1][0]][0] >= floor:
+                op, left = stack.pop()
+                operand = _BINARY[op][1](left, operand)
+            if kind in _BINARY:
+                stack.append((kind, operand))
+                operand = None
+                continue
+            expected = ")" if stack else "eof"
+            if kind != expected:
+                raise ParseError(f"expected {expected!r}, found {value or 'end of input'!r}",
+                                 pos)
+            if not stack:
+                return operand
+            stack.pop()
+        while stack and stack[-1][0] in _PREFIX:
+            operand = _PREFIX[stack.pop()[0]](operand)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ tests/data and derives the successor constraints from the per-axiom
 relational conditions with its own code instead of calling the library's,
 so a slip on either side shows up as a mismatch.  Forcing, likewise, is
 checked world by world with plain loops instead of the library's relation
-products.
+products, and parsing by recursive descent, one call per grammar rule,
+instead of the library's one pass over an explicit stack.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from modalcube.formula import Box, Falsum, Implies
+from modalcube.formula import (BOT, Atom, Box, Falsum, Formula, Implies, ParseError, _tokenize,
+                               land, ldia, lnot, lor)
 
 _DATA = json.loads((Path(__file__).parent / "data" / "tables.json").read_text())
 
@@ -234,3 +236,79 @@ def printed(f, resugar: bool = False) -> str:
         return f"({text})" if mine < place else text
 
     return go(f, 0)
+
+
+# The recursive-descent parser `formula.parse` replaced, kept verbatim as
+# the reference its one-pass loop is compared with; it raises ParseError
+# past the recursion limit, one call per nesting level.
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
+                             tok[2])
+        return tok
+
+    def parse_formula(self) -> Formula:
+        left = self.parse_or()
+        if self.peek()[0] == "->":
+            self.advance()
+            return Implies(left, self.parse_formula())
+        return left
+
+    def parse_or(self) -> Formula:
+        out = self.parse_and()
+        while self.peek()[0] == "|":
+            self.advance()
+            out = lor(out, self.parse_and())
+        return out
+
+    def parse_and(self) -> Formula:
+        out = self.parse_unary()
+        while self.peek()[0] == "&":
+            self.advance()
+            out = land(out, self.parse_unary())
+        return out
+
+    def parse_unary(self) -> Formula:
+        kind, value, pos = self.advance()
+        if kind == "!":
+            return lnot(self.parse_unary())
+        if kind == "[]":
+            return Box(self.parse_unary())
+        if kind == "<>":
+            return ldia(self.parse_unary())
+        if kind == "bot":
+            return BOT
+        if kind == "atom":
+            return Atom(value)
+        if kind == "(":
+            inner = self.parse_formula()
+            self.expect(")")
+            return inner
+        raise ParseError(f"expected a formula, found {value or 'end of input'!r}", pos)
+
+
+def parse(text: str) -> Formula:
+    """Parse ASCII syntax into the desugared core AST."""
+    p = _Parser(text)
+    try:
+        out = p.parse_formula()
+    except RecursionError:
+        # the parser recurses once per nesting level
+        raise ParseError("formula nested too deeply", p.peek()[2]) from None
+    p.expect("eof")
+    return out

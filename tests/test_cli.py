@@ -1,3 +1,4 @@
+import collections
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import modalcube
-from modalcube import cli, formula
+from modalcube import cli, decision, formula
 from modalcube.cli import main
 
 
@@ -256,15 +257,33 @@ def test_decide_output_is_deterministic():
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["decide", "--logic", "KD4", "[]([][]p -> []p)"], 1),
+    (["decide", "--logic", "KD", "--format", "json", "[]((p -> q) | !q)"], 0),
+])
+def test_filter_stage_decide_enumerates_and_filters_once(monkeypatch, argv, code):
+    """A verdict of stage "filter" prints its witness, or its model, from
+    the survivors `decide` filtered, not from a second table."""
+    calls = collections.Counter()
+    for name in ("enumerate_rows", "filter_rows"):
+        def counted(*args, _real=getattr(decision, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(decision, name, counted)
+    assert run(argv)[0] == code
+    assert calls == {"enumerate_rows": 1, "filter_rows": 1}
+
+
 @pytest.mark.parametrize("goal,error", [
-    # past the recursion limit in parse: a ParseError with its position
-    ("(" * 300 + "p" + ")" * 300, r"error: formula nested too deeply \(at position \d+\)\n"),
-    # one parser call per negation, so the limit comes later, but in parse too
-    ("!" * 1000 + "p", r"error: formula nested too deeply \(at position \d+\)\n"),
-    ("(" * 240 + "p" + ")" * 240, None),   # within it
-    # the closure hashes and keys nodes without recursing, so this decides
+    # parse, the closure and its keys never recurse, so any depth decides
+    ("(" * 300 + "p" + ")" * 300, None),
+    ("!" * 1000 + "p", None),
+    ("(" * 240 + "p" + ")" * 240, None),
     ("!" * 500 + "p", None),
-], ids=["parentheses-300", "negations-1000", "parentheses-240", "negations-500"])
+    # comparing two equal subtrees built apart recurses once per level
+    ("(" + "!" * 1000 + "p) -> (" + "!" * 1000 + "p)", r"error: formula nested too deeply\n"),
+], ids=["parentheses-300", "negations-1000", "parentheses-240", "negations-500",
+        "equal-subtrees-1000"])
 def test_deeply_nested_formula(goal, error):
     # a fresh interpreter, so the recursion budget is the command line's
     env = {**os.environ, "PYTHONPATH": str(Path(modalcube.__file__).parents[1])}
@@ -280,8 +299,8 @@ def test_deeply_nested_formula(goal, error):
 
 
 def test_oracle_answers_a_deeply_nested_formula():
-    # 400 diamonds parse within the limit and are 1601 core nodes deep; the
-    # oracle's forcing walks them bottom-up.  A fresh interpreter, as above.
+    # 400 diamonds are 1601 core nodes deep; the oracle's forcing walks them
+    # bottom-up.  A fresh interpreter, as above.
     env = {**os.environ, "PYTHONPATH": str(Path(modalcube.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "modalcube.cli", "oracle", "--logic", "KT",
                            "--max-worlds", "1", "<>" * 400 + "p"],

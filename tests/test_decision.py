@@ -984,6 +984,28 @@ def test_children_first_rows_filter_to_the_pinned_survivors():
             expect["verdict"] == "INVALID")
 
 
+def test_filter_stage_model_reorders_the_survivors(monkeypatch):
+    """At stage "filter" `Verdict.model` and the witness read `decide`'s
+    survivors, neither enumerating nor filtering again, and the model is
+    the canonical filtered one, rows and rounds, on all 30 such cube
+    entries."""
+    checked = 0
+    for logic, assumptions, goal, _ in _cube_entries():
+        verdict = decide(logic, assumptions, goal)
+        if verdict.stage != "filter":
+            continue
+        monkeypatch.setattr(decision, "enumerate_rows", _never_enumerate)
+        monkeypatch.setattr(decision, "filter_rows", _never)
+        model, witness = verdict.model, verdict.witness()
+        monkeypatch.undo()
+        canonical = filter_model(logic, verdict.closure)
+        assert np.array_equal(model.rows, canonical.rows), (logic.name, goal)
+        assert (model.closure, model.iterations) == (canonical.closure, canonical.iterations)
+        assert (witness is None) == verdict.valid
+        checked += 1
+    assert checked == 30
+
+
 def test_subformulas_list_the_closure_of_small_formulas():
     """`subformulas` lists each member of the closure once, after its
     children, for every root set the one-world tests above decide."""

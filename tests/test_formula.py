@@ -1,9 +1,13 @@
+import json
+import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import reference as ref
+from modalcube.cli import random_formula
 from modalcube.formula import (
     CLOSURE_TREE_LIMIT, Atom, Box, Falsum, FormulaError, Implies, ParseError, children, closure,
     instantiate, land, ldia, lnot, lor, parse, print_formula, size, subformulas,
@@ -11,6 +15,7 @@ from modalcube.formula import (
 
 p, q = Atom("p"), Atom("q")
 BOT = Falsum()
+_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def test_parse_box_implication():
@@ -38,9 +43,10 @@ def test_precedence_prefix_and_or_imp():
     assert parse("!p & q | r -> p") == Implies(lor(land(lnot(p), q), Atom("r")), p)
 
 
-def test_parse_rejects_deep_nesting_with_a_parse_error():
-    with pytest.raises(ParseError, match="nested too deeply"):
-        parse("(" * 300 + "p" + ")" * 300)
+def test_parse_takes_any_depth():
+    # one pass over an explicit stack: no nesting limit
+    assert parse("(" * 300 + "p" + ")" * 300) == Atom("p")
+    assert len(subformulas([parse("!" * 100000 + "p")])) == 100002
 
 
 def test_closure_rejects_deep_nesting_with_a_formula_error():
@@ -74,6 +80,54 @@ def test_parse_error_reports_position():
         parse("p q")
     with pytest.raises(ParseError):
         parse("(p -> q")
+
+
+def _parsed(parser, text):
+    """The formula `parser` gives for `text`, or its ParseError's message
+    and position."""
+    try:
+        return parser(text)
+    except ParseError as e:
+        return str(e), e.position
+
+
+_TOKENS = ["p", "q", "r1", "bot", "!", "[]", "<>", "&", "|", "->", "(", ")", " ", "$",
+           "-", "[", "<", ">", "]", "P"]
+
+
+def _parser_inputs():
+    """The formula texts of `perfbench/expected.json`, seeded random token
+    strings (unknown characters, broken tokens, spaces and unbalanced
+    parentheses among them), and printed random formulas with a near-miss
+    mutation of each: a character dropped, a token inserted or put in a
+    character's place, or two characters swapped."""
+    queries = json.loads(_EXPECTED.read_text())["queries"].values()
+    texts = [t for q in queries
+             for t in q.get("assumptions", []) + [q.get("goal", q.get("formula"))]]
+    rng = random.Random(33)
+    texts += ["".join(rng.choices(_TOKENS, k=rng.randint(0, 12))) for _ in range(20000)]
+    for _ in range(5000):
+        s = print_formula(random_formula(rng, rng.randint(0, 5), ["p", "q", "r"]),
+                          rng.random() < 0.5)
+        i, token = rng.randrange(len(s) + 1), rng.choice(_TOKENS)
+        texts += [s, rng.choice([s[:i] + s[i + 1:], s[:i] + token + s[i:],
+                                 s[:i] + token + s[i + 1:], s[:i] + s[i:i + 2][::-1] + s[i + 2:]])]
+    return texts
+
+
+def test_parse_matches_the_recursive_descent_reference():
+    """The one-pass parser gives the formula the recursive-descent reference
+    gives, or the same ParseError message and position, on every input the
+    reference parses within the recursion limit."""
+    compared = malformed = 0
+    for text in _parser_inputs():
+        expected = _parsed(ref.parse, text)
+        if isinstance(expected, tuple) and expected[0].startswith("formula nested too deeply"):
+            continue
+        assert _parsed(parse, text) == expected, text
+        compared += 1
+        malformed += isinstance(expected, tuple)
+    assert compared == 34354 and 10000 < malformed < compared
 
 
 def test_atom_names_validated():
