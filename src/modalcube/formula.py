@@ -42,7 +42,10 @@ class Formula:
     """Base class for the four core node kinds.
 
     Each node caches its hash, computed at construction from its children's
-    cached hashes, so hashing never walks a subtree.
+    cached hashes, so hashing never walks a subtree.  Equality walks both
+    trees together over an explicit stack, so it never recurses, and it
+    compares each pair of nodes once, so shared subtrees cost no more than
+    their distinct nodes.
     """
 
     __slots__ = ()
@@ -52,6 +55,28 @@ class Formula:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        stack, seen = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            t = type(a)
+            if t is not type(b) or a._hash != b._hash:
+                return False
+            if t is Implies:
+                pair = (id(a), id(b))
+                if pair not in seen:
+                    seen.add(pair)
+                    stack += ((a.right, b.right), (a.left, b.left))
+            elif t is Box:
+                stack.append((a.operand, b.operand))
+            elif t is Atom and a.name != b.name:
+                return False
+        return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,7 +104,7 @@ class Falsum(Formula):
     __hash__ = Formula.__hash__
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
@@ -91,7 +116,7 @@ class Implies(Formula):
     __hash__ = Formula.__hash__
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Box(Formula):
     operand: Formula
     _hash: int = field(init=False, repr=False, compare=False)
@@ -365,29 +390,25 @@ def subformulas(roots) -> list[Formula]:
     out: list[Formula] = []
     seen: set[Formula] = set()
     stack = list(roots)
-    try:
-        while stack:
-            f = stack[-1]
-            if f in seen:
-                stack.pop()
-                continue
-            t = type(f)
-            if t is Implies:
-                if f.left not in seen or f.right not in seen:
-                    stack += (f.right, f.left)
-                    continue
-            elif t is Box:
-                if f.operand not in seen:
-                    stack.append(f.operand)
-                    continue
-            elif t is not Atom and t is not Falsum:
-                raise FormulaError(f"not a formula: {f!r}")
+    while stack:
+        f = stack[-1]
+        if f in seen:
             stack.pop()
-            seen.add(f)
-            out.append(f)
-    except RecursionError:
-        # equal subformulas built apart compare once per nesting level
-        raise FormulaError("formula nested too deeply") from None
+            continue
+        t = type(f)
+        if t is Implies:
+            if f.left not in seen or f.right not in seen:
+                stack += (f.right, f.left)
+                continue
+        elif t is Box:
+            if f.operand not in seen:
+                stack.append(f.operand)
+                continue
+        elif t is not Atom and t is not Falsum:
+            raise FormulaError(f"not a formula: {f!r}")
+        stack.pop()
+        seen.add(f)
+        out.append(f)
     return out
 
 

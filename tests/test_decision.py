@@ -69,10 +69,15 @@ def test_enumerate_stable_rows_k():
 
 
 def test_enumerate_matches_reference(logic_name):
-    for text in ("p -> p", "[]p", "<>p", "p -> q"):
-        clo = closure([parse(text)])
-        rows = rows_as_names(enumerate_rows(lookup(logic_name), clo))
-        assert rows == ref.enumerate_rows(logic_name, clo.formulas), text
+    """The reference's rows in its order, over the canonical closure and the
+    children-first subformula list alike."""
+    for roots in (["p -> p"], ["[]p"], ["<>p"], ["p -> q"],
+                  # mostly negations, whose columns are written in place
+                  ["!!p"], ["!(p & !q)"], ["<>!<>p"], ["!bot"], ["!p", "<>!q", "!(p -> q)"]):
+        formulas = [parse(text) for text in roots]
+        for clo in (closure(formulas), Closure(tuple(subformulas(formulas)))):
+            rows = rows_as_names(enumerate_rows(lookup(logic_name), clo))
+            assert rows == ref.enumerate_rows(logic_name, clo.formulas), roots
 
 
 # Closures whose enumeration is pinned: the axiom schemas over p and q,
@@ -128,10 +133,14 @@ def test_enumeration_is_pinned_byte_for_byte(logic_name):
 
 
 def test_largest_closure_enumerates_sorted_valid_rows():
-    """K on the closure of 194408 rows, enumerated but not filtered."""
+    """K on the closure of 194408 rows, enumerated but not filtered, and
+    pinned byte for byte: sha256 over (shape, bytes) computed at commit
+    55eab07, which branched every column over the bits of its cell."""
     logic, clo = lookup("K"), closure([parse("[][][]p -> <><>(q -> []r)")])
     rows = enumerate_rows(logic, clo)
     assert rows.shape == (194408, len(clo))
+    digest = hashlib.sha256(repr(rows.shape).encode() + rows.tobytes()).hexdigest()
+    assert digest == "d3444138d30c0b99c022a7688851a06f1e0e3ea596c9e106bf81bc5f5a968bf4"
     # sorted and distinct: the first nonzero step from each row to the next is up
     step = rows[1:].astype(np.int16) - rows[:-1]
     assert (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all()
@@ -145,6 +154,37 @@ def test_row_cap():
     # raised at the first column past the cap, with a lower bound of the 7136 rows
     assert (e.value.estimate, e.value.column, e.value.columns) == (224, 3, len(clo))
     assert str(e.value) == "at least 224 rows (counted after column 3 of 8) exceed the cap of 50"
+
+
+@pytest.mark.parametrize("order", ["canonical", "children-first"])
+def test_row_cap_before_trailing_negations(order):
+    """Negations write their column in place and never add rows, so the cap
+    raises at the last branching column, not at the negations after it."""
+    f = parse("!!!!([]p -> []q)")
+    clo = closure([f]) if order == "canonical" else Closure(tuple(subformulas([f])))
+    column = {"canonical": 6, "children-first": 5}[order]
+    assert all(kind == "imp" and clo.structure()[j][0] == "bot"
+               for kind, _, j in clo.structure()[-4:])
+    with pytest.raises(RowLimitError) as e:
+        enumerate_rows(lookup("K"), clo, row_cap=363)
+    assert (e.value.estimate, e.value.column, e.value.columns) == (364, column, 10)
+    assert str(e.value) == \
+        f"at least 364 rows (counted after column {column} of 10) exceed the cap of 363"
+    assert len(enumerate_rows(lookup("K"), clo, row_cap=364)) == 364
+
+
+def test_negation_and_falsum_cells_hold_one_value(logic_name):
+    """What `enumerate_rows` writes in place: each fragment's falsum cell
+    holds one value, and so does the cell of x -> bot for every admissible
+    x, with bot the falsum of x's fragment."""
+    logic, every = lookup(logic_name), frozenset(ref.ALL_VALUES)
+    bot_value, neg_value = decision._enumeration_tables(logic)[:2]
+    for x in ref.logic_values(logic_name):
+        fragment = ref.STABLE if x in ref.STABLE else every - ref.STABLE
+        (bot,) = ref.bot_cell(logic_name) & fragment
+        (neg,) = ref.imp_cell(logic_name, x, bot)
+        assert names_in(nmatrix(logic).imp_masks[value_id(x), value_id(bot)]) == (neg,)
+        assert (bot_value[value_id(x)], neg_value[value_id(x)]) == (value_id(bot), value_id(neg))
 
 
 @pytest.mark.parametrize("name", ["K", "KD", "KT", "KB5", "K45"])

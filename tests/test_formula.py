@@ -49,16 +49,16 @@ def test_parse_takes_any_depth():
     assert len(subformulas([parse("!" * 100000 + "p")])) == 100002
 
 
-def test_closure_rejects_deep_nesting_with_a_formula_error():
-    # hashes and sort keys never walk a subtree, so one formula nested past
-    # the recursion limit has a closure; comparing two equal ones built
-    # apart still recurses once per level
+def test_closure_takes_equal_deep_formulas_built_apart():
+    # hashes, sort keys and equality never walk a subtree recursively, so
+    # two equal formulas nested past the recursion limit and built apart
+    # have one closure
     f, g = Atom("p"), Atom("p")
     for _ in range(3000):
         f, g = lnot(f), lnot(g)
-    assert len(closure([f])) == 3002
-    with pytest.raises(FormulaError, match="nested too deeply"):
-        closure([f, g])
+    assert f is not g and f == g and not f != g
+    clo = closure([f, g])
+    assert len(clo) == 3002 and clo.position(f) == clo.position(g) == 3001
 
 
 def test_closure_keys_match_size_and_print():
@@ -226,15 +226,13 @@ def test_subformulas_list_the_closure_children_first(texts):
 
 
 def test_subformulas_never_recurse():
-    """A formula nested past the recursion limit lists without recursing;
-    two equal ones built apart compare once per level and raise, through
-    `subformulas` and `closure` alike."""
+    """A formula nested past the recursion limit lists without recursing,
+    and two equal ones built apart compare without recursing and list
+    once, through `subformulas` and `closure` alike."""
     f, g = _deep_negations(3000), _deep_negations(3000)
     check_subformulas([f])
     assert len(subformulas([f])) == 3002
-    for pass_ in (subformulas, closure):
-        with pytest.raises(FormulaError, match="^formula nested too deeply$"):
-            pass_([f, g])
+    assert len(subformulas([f, g])) == len(closure([f, g])) == 3002
 
 
 def test_subformulas_list_a_shared_subtree_once():
@@ -243,6 +241,26 @@ def test_subformulas_list_a_shared_subtree_once():
         f = land(Box(f), f)
     subs = subformulas([f])
     assert len(subs) == len(set(subs)) == 242 and subs[-1] is f
+
+
+def test_equality_compares_shared_subtrees_once():
+    """Two shared trees of more than 2**60 nodes, built apart, compare in
+    one visit per pair of distinct nodes: equal, or unequal at one leaf."""
+    def shared(leaf):
+        f = leaf
+        for _ in range(60):
+            f = land(Box(f), f)
+        return f
+
+    f, g, h = shared(Atom("p")), shared(Atom("p")), shared(Atom("q"))
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert f != h and g != h and f != Box(f) and f != "p"
+    assert Implies(p, BOT) == lnot(Atom("p")) != Implies(q, BOT)
+    assert Box(p) != Implies(p, p) and Falsum() == BOT != p
+    # a hash collision still compares atom names
+    collides = Atom("q")
+    object.__setattr__(collides, "_hash", hash(p))
+    assert hash(Box(collides)) == hash(Box(p)) and Box(collides) != Box(p)
 
 
 def test_closure_refuses_a_shared_tree_past_the_bound():
