@@ -13,7 +13,7 @@ import random
 import sys
 
 from . import decision, kripke, values
-from .formula import (Atom, Box, Formula, Implies, closure, land, ldia, lnot,
+from .formula import (BOT, Atom, Box, Formula, Implies, closure, land, ldia, lnot,
                       lor, parse, print_formula)
 from .logics import axioms, lookup
 from .nmatrix import nmatrix
@@ -28,31 +28,34 @@ _GEN_WEIGHTS = [
     ("and", 1), ("or", 1), ("atom", 4), ("bot", 1),
 ]
 _LEAF_WEIGHTS = [("atom", 4), ("bot", 1)]
+_UNARY = {"box": Box, "dia": ldia, "not": lnot}
+_BINARY = {"imp": Implies, "and": land, "or": lor}
 
 
 def random_formula(rng: random.Random, max_depth: int, atoms: list[str]) -> Formula:
-    """Weighted random AST up to max_depth, desugared to the core language."""
-    table = _LEAF_WEIGHTS if max_depth <= 0 else _GEN_WEIGHTS
-    kinds = [k for k, _ in table]
-    weights = [w for _, w in table]
-    kind = rng.choices(kinds, weights)[0]
-    if kind == "atom":
-        return Atom(rng.choice(atoms))
-    if kind == "bot":
-        return parse("bot")
-    if kind == "box":
-        return Box(random_formula(rng, max_depth - 1, atoms))
-    if kind == "dia":
-        return ldia(random_formula(rng, max_depth - 1, atoms))
-    if kind == "not":
-        return lnot(random_formula(rng, max_depth - 1, atoms))
-    a = random_formula(rng, max_depth - 1, atoms)
-    b = random_formula(rng, max_depth - 1, atoms)
-    if kind == "imp":
-        return Implies(a, b)
-    if kind == "and":
-        return land(a, b)
-    return lor(a, b)
+    """Weighted random AST up to max_depth, desugared to the core language.
+    Nodes are drawn in pre-order over an explicit stack of depths still to
+    draw and connectives waiting for their operands, so no depth recurses."""
+    stack: list[int | str] = [max_depth]
+    done: list[Formula] = []
+    while stack:
+        item = stack.pop()
+        if item in _UNARY:
+            done.append(_UNARY[item](done.pop()))
+            continue
+        if item in _BINARY:
+            right = done.pop()
+            done.append(_BINARY[item](done.pop(), right))
+            continue
+        table = _LEAF_WEIGHTS if item <= 0 else _GEN_WEIGHTS
+        kind = rng.choices([k for k, _ in table], [w for _, w in table])[0]
+        if kind == "atom":
+            done.append(Atom(rng.choice(atoms)))
+        elif kind == "bot":
+            done.append(BOT)
+        else:
+            stack += [kind] + [item - 1] * (1 if kind in _UNARY else 2)
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +283,6 @@ def main(argv=None, out=None, err=None) -> int:
         return ns.handler(ns, out)
     except _KNOWN_ERRORS as e:
         print(f"error: {e}", file=err)
-        return 2
-    except RecursionError:
-        # `random_formula` recurses once per level of xcheck's --max-depth
-        print("error: formula nested too deeply", file=err)
         return 2
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,14 +23,10 @@ from ._accel import WorkLimitError, compat_matrix, signatures, support_filter_ro
 from .formula import (Atom, Box, Closure, Formula, FormulaError, Implies, children,
                       closure, print_formula, subformulas)
 from .logics import _VALUE_OF, Logic, _compose, _frame_relations, frame_tables
-from .nmatrix import Nmatrix, _check_admissible, nmatrix
+from .nmatrix import BOT_VALUE_OF, _check_admissible, nmatrix
 from .values import in_mask, mask_of
 
 ROW_CAP_DEFAULT = 2_000_000
-
-_SINGLE_VALUE = np.full(256, 255, dtype=np.uint8)
-for _v in range(8):
-    _SINGLE_VALUE[1 << _v] = _v
 
 # N-designated values: what a tautology must take at the next level.
 _NT_MASK = mask_of("T tt")
@@ -102,61 +99,46 @@ def support_requirements(logic: Logic, v: int) -> list[int]:
 # Row enumeration
 # ---------------------------------------------------------------------------
 
-def _cells(mat: Nmatrix, rows: np.ndarray, kind: str, i: int, j: int,
-           atoms: np.ndarray, bot: np.ndarray) -> np.ndarray:
-    """Per row, the admissible-value mask of one closure position.
-
-    Atoms and falsum read the uint8[8] tables `atoms` and `bot` at the row's
-    first value; box and implication read the Nmatrix at the row's values of
-    their arguments.
-    """
-    if kind == "box":
-        return mat.box_masks[rows[:, i]]
-    if kind == "imp":
-        return mat.imp_masks[rows[:, i], rows[:, j]]
-    return (atoms if kind == "atom" else bot)[rows[:, 0]]
+class _Cells(NamedTuple):
+    """One logic's Nmatrix as `enumerate_rows`, `validate_rows` and
+    `extend_column` read it.  Falsum's one value is `BOT_VALUE_OF`."""
+    neg: np.ndarray               # uint8[8]: the one value of x -> bot, by x
+    box: np.ndarray               # bool[8, 8] cell bits, by the operand's value
+    imp: np.ndarray               # bool[64, 8] cell bits, by 8 * a + b
+    leaf: dict[str, np.ndarray]   # atom, bot: bool[8, 8], by the row's first value
+    first: dict[str, np.ndarray]  # atom, bot: bool[1, 8], column 0's cell
 
 
 @cache
-def _fragment_tables(logic: Logic) -> tuple[np.ndarray, np.ndarray]:
-    """Atom and falsum masks indexed by a row's first value: the stable atoms
-    and ff when it is tt or ff, the non-stable atoms and F otherwise."""
-    stable = in_mask(values.STABLE_MASK, np.arange(8))
-    atoms = np.where(stable, values.STABLE_MASK, ~values.STABLE_MASK) & logic.values_mask
-    bot = np.where(stable, 1 << values.ff, 1 << values.F) & logic.values_mask
-    return atoms.astype(np.uint8), bot.astype(np.uint8)
-
-
-@cache
-def _union_tables(logic: Logic) -> tuple[np.ndarray, np.ndarray]:
-    """Atom and falsum masks over both fragments, whatever the first value."""
-    return (np.full(8, logic.values_mask, dtype=np.uint8),
-            np.full(8, nmatrix(logic).bot_mask, dtype=np.uint8))
-
-
-@cache
-def _enumeration_tables(logic: Logic) -> tuple[np.ndarray, ...]:
-    """What `enumerate_rows` reads per column kind.
-
-    The functional columns: uint8[8] falsum's value and uint8[8] the
-    negation's value, each indexed by a value of the row.  A row's fragment
-    fixes falsum (ff when stable, F otherwise), and each admissible x -> bot
-    cell holds one value.  The other columns: bool[..., 8] cell bits, box
-    indexed [v], implication [8 * a + b], atoms [first value], and atoms and
-    falsum over both fragments for column 0, one row each.
-    """
+def _cell_table(logic: Logic) -> _Cells:
+    """Atoms and falsum keep the fragment (stable or not) of the row's first
+    value.  Column 0 holds the first value, so its cell is the values v
+    whose own leaf cell holds v, over both fragments."""
     mat = nmatrix(logic)
-    stable = in_mask(values.STABLE_MASK, np.arange(8))
-    bot_value = np.where(stable, values.ff, values.F).astype(np.uint8)
-    neg_value = _SINGLE_VALUE[mat.imp_masks[np.arange(8), bot_value]]
 
     def bits(masks) -> np.ndarray:
-        masks = np.asarray(masks, dtype=np.uint8)
         return np.unpackbits(masks[..., None], axis=-1, bitorder="little").view(bool)
 
-    union = {"atom": bits([logic.values_mask]), "bot": bits([mat.bot_mask])}
-    return (bot_value, neg_value, bits(mat.box_masks), bits(mat.imp_masks.reshape(64)),
-            bits(_fragment_tables(logic)[0]), union)
+    imp = bits(mat.imp_masks.reshape(64))
+    neg = imp[np.arange(8) << 3 | BOT_VALUE_OF].argmax(axis=1).astype(np.uint8)
+    inside = in_mask(logic.values_mask, np.arange(8))
+    stable = in_mask(values.STABLE_MASK, np.arange(8))
+    leaf = {"atom": (stable[:, None] == stable) & inside,
+            "bot": (BOT_VALUE_OF[:, None] == np.arange(8)) & inside}
+    first = {kind: np.diagonal(cell)[None] for kind, cell in leaf.items()}
+    return _Cells(neg, bits(mat.box_masks), imp, leaf, first)
+
+
+def _cell_bits(cells: _Cells, rows: np.ndarray, kind: str, i: int, j: int) -> np.ndarray:
+    """bool[rows, 8]: each row's cell of a column of `kind` whose arguments
+    sit at positions i and j.  Atoms and falsum read the fragment of the
+    row's first value."""
+    # `take` along axis 0 is several times cheaper than fancy indexing
+    if kind == "imp":
+        return cells.imp.take(rows[:, i] << 3 | rows[:, j], axis=0)
+    if kind == "box":
+        return cells.box.take(rows[:, i], axis=0)
+    return cells.leaf[kind].take(rows[:, 0], axis=0)
 
 
 def enumerate_rows(logic: Logic, clo: Closure, row_cap: int = ROW_CAP_DEFAULT) -> np.ndarray:
@@ -168,33 +150,28 @@ def enumerate_rows(logic: Logic, clo: Closure, row_cap: int = ROW_CAP_DEFAULT) -
     the row's first value.  Box and implication cells stay inside their
     fragment, so rows mixing stable with non-stable values are never
     generated.  A later falsum and a negation (x -> bot) hold one value per
-    row, written in place from `_enumeration_tables`; every other column
-    branches each row over the bits of its cell.  `np.nonzero` lists (row,
-    value) pairs in row-major order, so branching lex-sorted, distinct rows
-    in ascending value order keeps them lex-sorted and distinct without a
-    final sort.  No reachable cell is empty, so the row count never drops
-    from one column to the next, and the cap check at each branching column
-    raises exactly when the final count exceeds the cap.
+    row, written in place; every other column branches each row over the
+    bits of its cell (`_cell_bits`).  `np.nonzero` lists (row, value) pairs
+    in row-major order, so branching lex-sorted, distinct rows in ascending
+    value order keeps them lex-sorted and distinct without a final sort.
+    No reachable cell is empty, so the row count never drops from one
+    column to the next, and the cap check at each branching column raises
+    exactly when the final count exceeds the cap.
     """
-    bot_value, neg_value, box, imp, atom, union = _enumeration_tables(logic)
+    cells = _cell_table(logic)
     structure = clo.structure()
     rows = np.zeros((1, len(structure)), dtype=np.uint8)
     for k, (kind, i, j) in enumerate(structure):
-        # `take` along axis 0 is several times cheaper than fancy indexing
-        if kind == "imp":
-            if structure[j][0] == "bot":
-                rows[:, k] = neg_value.take(rows[:, i])
-                continue
-            bits = imp.take(rows[:, i] << 3 | rows[:, j], axis=0)
-        elif kind == "box":
-            bits = box.take(rows[:, i], axis=0)
-        elif not k:
-            bits = union[kind]
+        if not k:
+            bits = cells.first[kind]
         elif kind == "bot":
-            rows[:, k] = bot_value.take(rows[:, 0])
+            rows[:, k] = BOT_VALUE_OF.take(rows[:, 0])
+            continue
+        elif kind == "imp" and structure[j][0] == "bot":
+            rows[:, k] = cells.neg.take(rows[:, i])
             continue
         else:
-            bits = atom.take(rows[:, 0], axis=0)
+            bits = _cell_bits(cells, rows, kind, i, j)
         total = np.count_nonzero(bits)
         if total > row_cap:
             raise RowLimitError(total, row_cap, k + 1, len(structure))
@@ -205,15 +182,16 @@ def enumerate_rows(logic: Logic, clo: Closure, row_cap: int = ROW_CAP_DEFAULT) -
 
 
 def validate_rows(logic: Logic, clo: Closure, rows: np.ndarray) -> np.ndarray:
-    """Table-compatibility plus the stability rule, per row."""
-    mat = nmatrix(logic)
+    """Per row: every value is admissible and in its column's cell
+    (`_cell_bits`).  Atoms and falsum read the fragment of the row's first
+    value, and box and implication cells over one fragment stay in it, so
+    no accepted row mixes stable with non-stable values."""
+    cells = _cell_table(logic)
     ok = in_mask(logic.values_mask, rows).all(axis=1)
     rows = np.where(ok[:, None], rows, 0)  # rejected rows read no cell past code 7
+    index = np.arange(len(rows))
     for k, (kind, i, j) in enumerate(clo.structure()):
-        cells = _cells(mat, rows, kind, i, j, *_union_tables(logic))
-        ok &= (cells >> rows[:, k]) & 1 == 1
-    stable = in_mask(values.STABLE_MASK, rows)
-    ok &= ~stable.any(axis=1) | stable.all(axis=1)
+        ok &= _cell_bits(cells, rows, kind, i, j)[index, rows[:, k]]
     return ok
 
 
@@ -593,8 +571,8 @@ def extend_column(model: TableModel, f: Formula) -> TableModel:
     """Extend every row with exactly one admissible value for `f`.
 
     An atom copies the first column.  Box, implication and falsum read each
-    row's cell of `f` as `enumerate_rows` does past column 0, and a
-    single-value cell is taken as it is.  The values of a multi-value cell
+    row's cell of `f` as `enumerate_rows` does past column 0 (`_cell_bits`),
+    and a single-value cell is taken as it is.  The values of a multi-value cell
     agree on designation, so each successor's own cell says whether it
     designates `f`.  The row then takes the cell value that is in N iff
     every successor in `frame_relation` designates `f`, and in I iff none
@@ -620,16 +598,17 @@ def extend_column(model: TableModel, f: Formula) -> TableModel:
     if kind == "atom":
         newcol = rows[:, 0].copy()
     else:
-        cells = _cells(nmatrix(logic), rows, kind, i, j, *_fragment_tables(logic))
-        multi = cells & (cells - 1) != 0
+        bits = _cell_bits(_cell_table(logic), rows, kind, i, j)
+        multi = np.count_nonzero(bits, axis=1) > 1
         if multi.any():
             rel = frame_relation(model)
-            designates = cells & values.D_MASK != 0
+            designates = (bits & _DESIGNATED).any(axis=1)
             every = ~(rel & ~designates).any(axis=1)
             some = (rel & designates).any(axis=1)
             value = _VALUE_OF[designates * 4 + every * 2 + ~some]
-            cells = np.where(multi, cells & np.left_shift(1, value, dtype=np.uint8), cells)
-        newcol = _SINGLE_VALUE[cells]
+            bits[multi] &= np.arange(8) == value[multi, None]
+        # code 255 where no value is left, which `validate_rows` rejects
+        newcol = np.where(bits.any(axis=1), bits.argmax(axis=1), 255).astype(np.uint8)
 
     new_rows = np.hstack([rows, newcol.reshape(-1, 1)])
     return TableModel(logic, clo, new_rows, model.iterations)

@@ -351,6 +351,19 @@ class Closure:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_structure", tuple(structure))
 
+    def __eq__(self, other) -> bool:
+        """Equal structure and atom names: members come after their children,
+        so by induction every position holds equal formulas.  Linear in the
+        closure's length, where comparing members would walk each chain."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._structure == other._structure
+                and self.atom_positions() == other.atom_positions())
+
+    def __hash__(self) -> int:
+        # formula hashes are structural, so equal closures hash alike
+        return hash(self.formulas)
+
     def __len__(self) -> int:
         return len(self.formulas)
 

@@ -21,7 +21,7 @@ from .values import mask_of
 
 __all__ = [
     "Nmatrix", "nmatrix", "ValueNotInLogicError",
-    "IMP_TABLE", "BOT_VALUES",
+    "IMP_TABLE", "BOT_VALUES", "BOT_VALUE_OF",
 ]
 
 
@@ -53,6 +53,11 @@ IMP_TABLE = {
 }
 
 BOT_VALUES = "F ff"
+
+# uint8[8]: falsum's value in the fragment of each value, ff for a stable
+# one (tt, ff) and F for the others, as the two kinds of rows evaluate bot.
+BOT_VALUE_OF = np.where(values.in_mask(values.STABLE_MASK, np.arange(8)),
+                        values.ff, values.F).astype(np.uint8)
 
 _IMP_MASKS = np.zeros((8, 8), dtype=np.uint8)
 for _a, _row in IMP_TABLE.items():
@@ -86,10 +91,10 @@ class Nmatrix:
         return int(self.box_masks[a])
 
     def neg(self, a: int) -> int:
-        """Negation is the implication into falsum, which is ff for a stable
-        argument and F otherwise, as the two kinds of rows evaluate bot."""
+        """Negation is the implication into falsum, read in the argument's
+        fragment (`BOT_VALUE_OF`)."""
         _check_admissible(self.logic, a)
-        return self.imp(a, values.ff if values.STABLE_MASK >> a & 1 else values.F)
+        return self.imp(a, int(BOT_VALUE_OF[a]))
 
     def dia(self, a: int) -> int:
         """Diamond by composition: union of neg(box(neg(a))) over all choices."""

@@ -7,8 +7,9 @@ tests/data and derives the successor constraints from the per-axiom
 relational conditions with its own code instead of calling the library's,
 so a slip on either side shows up as a mismatch.  Forcing, likewise, is
 checked world by world with plain loops instead of the library's relation
-products, and parsing by recursive descent, one call per grammar rule,
-instead of the library's one pass over an explicit stack.
+products, parsing by recursive descent, one call per grammar rule,
+instead of the library's one pass over an explicit stack, and random
+formulas by one call per node instead of the CLI generator's stack.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from modalcube.cli import _GEN_WEIGHTS, _LEAF_WEIGHTS
 from modalcube.formula import (BOT, Atom, Box, Falsum, Formula, Implies, ParseError, _tokenize,
                                land, ldia, lnot, lor)
 
@@ -132,6 +134,18 @@ def enumerate_rows(name: str, formulas) -> list[tuple[str, ...]]:
         rows = grown
     rows.sort(key=lambda row: tuple(ALL_VALUES.index(v) for v in row))
     return rows
+
+
+def admits_row(name: str, formulas, codes) -> bool:
+    """Whether a row of value codes is one `enumerate_rows` builds, checked
+    value by value: each code names a value of the logic that is in its
+    formula's cell and is stable exactly when the first value is."""
+    if not all(0 <= c < len(ALL_VALUES) for c in codes):
+        return False
+    row = [ALL_VALUES[c] for c in codes]
+    assign = dict(zip(formulas, row))
+    return all(v in logic_values(name) and (v in STABLE) == (row[0] in STABLE)
+               and _admits(name, f, assign, v) for f, v in zip(formulas, row))
 
 
 def related(name: str, v: tuple[str, ...], w: tuple[str, ...]) -> bool:
@@ -312,3 +326,30 @@ def parse(text: str) -> Formula:
         raise ParseError("formula nested too deeply", p.peek()[2]) from None
     p.expect("eof")
     return out
+
+
+def random_formula(rng, max_depth: int, atoms: list[str]) -> Formula:
+    """The recursive generator `cli.random_formula` replaced, kept as the
+    reference its explicit stack is compared with: one call per node, so
+    it raises RecursionError on a branch deeper than the recursion limit."""
+    table = _LEAF_WEIGHTS if max_depth <= 0 else _GEN_WEIGHTS
+    kinds = [k for k, _ in table]
+    weights = [w for _, w in table]
+    kind = rng.choices(kinds, weights)[0]
+    if kind == "atom":
+        return Atom(rng.choice(atoms))
+    if kind == "bot":
+        return BOT
+    if kind == "box":
+        return Box(random_formula(rng, max_depth - 1, atoms))
+    if kind == "dia":
+        return ldia(random_formula(rng, max_depth - 1, atoms))
+    if kind == "not":
+        return lnot(random_formula(rng, max_depth - 1, atoms))
+    a = random_formula(rng, max_depth - 1, atoms)
+    b = random_formula(rng, max_depth - 1, atoms)
+    if kind == "imp":
+        return Implies(a, b)
+    if kind == "and":
+        return land(a, b)
+    return lor(a, b)

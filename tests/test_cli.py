@@ -2,6 +2,7 @@ import collections
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import modalcube
+import reference as ref
 from modalcube import cli, decision, formula
 from modalcube.cli import main
 
@@ -212,6 +214,29 @@ def test_xcheck_small_run_and_determinism():
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.strip().split("\n")[-1].startswith("agree=")
+
+
+def test_random_formula_draws_as_the_recursive_reference():
+    """The explicit stack draws in the recursive generator's pre-order:
+    equal formulas, and the generator left in the same state."""
+    for seed in range(300):
+        for depth in range(9):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            f = cli.random_formula(mine, depth, ["p", "q", "r"])
+            assert f == ref.random_formula(theirs, depth, ["p", "q", "r"]), (seed, depth)
+            assert mine.getstate() == theirs.getstate(), (seed, depth)
+
+
+def test_random_formula_draws_past_the_recursion_limit():
+    """Seed 1164 at depth 5000 draws a formula nested deeper than the
+    recursion limit, where the recursive reference raises."""
+    f = cli.random_formula(random.Random(1164), 5000, ["p", "q"])
+    height = {}
+    for g in formula.subformulas([f]):
+        height[g] = 1 + max((height[c] for c in formula.children(g)), default=0)
+    assert height[f] > sys.getrecursionlimit()
+    with pytest.raises(RecursionError):
+        ref.random_formula(random.Random(1164), 5000, ["p", "q"])
 
 
 def test_xcheck_counts_one_world_refutations_past_the_row_cap():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import reference as ref
+from conftest import ALL_LOGIC_NAMES
 from modalcube import _accel, decision, values
 from modalcube._accel import WorkLimitError, compat_matrix, signatures, support_filter_round
 from modalcube.cli import random_formula
@@ -32,7 +33,7 @@ from modalcube.kripke import (
 from modalcube.logics import (
     AXIOM_SCHEMAS, _frame_relations, all_logics, frame_tables, lookup, value_at,
 )
-from modalcube.nmatrix import ValueNotInLogicError, nmatrix
+from modalcube.nmatrix import BOT_VALUE_OF, ValueNotInLogicError, nmatrix
 from modalcube.values import in_mask, names_in, value_id
 
 p, q = Atom("p"), Atom("q")
@@ -178,16 +179,16 @@ def test_negation_and_falsum_cells_hold_one_value(logic_name):
     holds one value, and so does the cell of x -> bot for every admissible
     x, with bot the falsum of x's fragment."""
     logic, every = lookup(logic_name), frozenset(ref.ALL_VALUES)
-    bot_value, neg_value = decision._enumeration_tables(logic)[:2]
+    cells = decision._cell_table(logic)
     for x in ref.logic_values(logic_name):
         fragment = ref.STABLE if x in ref.STABLE else every - ref.STABLE
         (bot,) = ref.bot_cell(logic_name) & fragment
         (neg,) = ref.imp_cell(logic_name, x, bot)
         assert names_in(nmatrix(logic).imp_masks[value_id(x), value_id(bot)]) == (neg,)
-        assert (bot_value[value_id(x)], neg_value[value_id(x)]) == (value_id(bot), value_id(neg))
+        assert (BOT_VALUE_OF[value_id(x)], cells.neg[value_id(x)]) == (value_id(bot), value_id(neg))
 
 
-@pytest.mark.parametrize("name", ["K", "KD", "KT", "KB5", "K45"])
+@pytest.mark.parametrize("name", ALL_LOGIC_NAMES)
 @pytest.mark.parametrize("text", ["p -> p", "[]p", "<>p", "p -> q", "bot"])
 def test_validate_rows_accepts_exactly_the_enumerated_rows(name, text):
     logic, clo = lookup(name), closure([parse(text)])
@@ -197,6 +198,23 @@ def test_validate_rows_accepts_exactly_the_enumerated_rows(name, text):
     ok = validate_rows(logic, clo, product)
     assert np.array_equal(product[ok], enumerate_rows(logic, clo))
     assert not ok.all()
+
+
+def test_validate_rows_agrees_with_the_reference_cells(logic_name):
+    """validate_rows against the reference's row-by-row check on seeded
+    random rows of codes 0-255 and 0-7, and on enumerated rows with one
+    position redrawn, over closures in both orders."""
+    logic, rng = lookup(logic_name), np.random.default_rng(35)
+    for text in ("[]p -> <>q", "!(p -> []bot)", "<>[]p & q", "bot -> []!p"):
+        for clo in (closure([parse(text)]), Closure(tuple(subformulas([parse(text)])))):
+            m = len(clo)
+            rows = enumerate_rows(logic, clo)
+            near = rows[rng.integers(0, len(rows), 1000)]
+            near[np.arange(1000), rng.integers(0, m, 1000)] = rng.integers(0, 8, 1000)
+            for batch in (rng.integers(0, 256, (1000, m)), rng.integers(0, 8, (1000, m)), near):
+                batch = batch.astype(np.uint8)
+                want = [ref.admits_row(logic_name, clo.formulas, row) for row in batch.tolist()]
+                assert validate_rows(logic, clo, batch).tolist() == want, (text, clo.texts())
 
 
 @pytest.mark.parametrize("text,row", [
@@ -1280,6 +1298,20 @@ def test_extend_empty_model_with_atom():
     assert ext.rows.shape == (0, 2)
     assert [print_formula(f) for f in ext.closure.formulas] == ["p", "q"]
     assert extend_column(ext, Box(q)).rows.shape == (0, 3)
+
+
+def test_extend_unfiltered_model_marks_a_cell_without_the_profile_value():
+    """Outside a filtered model a multi-value cell need not hold the value
+    its row's successors give: the row takes code 255, which
+    `validate_rows` rejects.  In KD's table of <>bot the row with []!bot =
+    ttt has no admissible successor, and filtering deletes it."""
+    logic, clo = lookup("KD"), closure([parse("<>bot")])
+    model = TableModel(logic, clo, enumerate_rows(logic, clo))
+    ext = extend_column(model, Box(clo.formulas[-1]))
+    assert model.rows.tolist() == [[0, 7, 4, 3], [0, 7, 6, 1], [0, 7, 7, 0]]
+    assert ext.rows[:, -1].tolist() == [255, 1, 1]
+    assert validate_rows(logic, ext.closure, ext.rows).tolist() == [False, True, True]
+    assert filter_model(logic, clo).rows.tolist() == [[0, 7, 7, 0]]
 
 
 def test_atom_model_holds_every_admissible_value(logic_name):

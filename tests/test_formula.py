@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 import reference as ref
 from modalcube.cli import random_formula
 from modalcube.formula import (
-    CLOSURE_TREE_LIMIT, Atom, Box, Falsum, FormulaError, Implies, ParseError, children, closure,
-    instantiate, land, ldia, lnot, lor, parse, print_formula, size, subformulas,
+    CLOSURE_TREE_LIMIT, Atom, Box, Closure, Falsum, FormulaError, Implies, ParseError, children,
+    closure, instantiate, land, ldia, lnot, lor, parse, print_formula, size, subformulas,
 )
 
 p, q = Atom("p"), Atom("q")
@@ -59,6 +59,22 @@ def test_closure_takes_equal_deep_formulas_built_apart():
     assert f is not g and f == g and not f != g
     clo = closure([f, g])
     assert len(clo) == 3002 and clo.position(f) == clo.position(g) == 3001
+    assert closure([f]) == closure([g]) and hash(closure([f])) == hash(closure([g]))
+
+
+def test_closures_compare_member_by_member():
+    """Closures are equal exactly when their members are, position by
+    position: one structure with other atoms, or the same members in
+    another order, makes another closure."""
+    texts = ["p -> q", "p -> r", "q -> p", "[]p -> p", "[]q -> q", "!p", "p -> bot", "bot -> p"]
+    closures = [closure([parse(t)]) for t in texts] + [
+        Closure(tuple(subformulas([parse(t)]))) for t in texts]
+    for a in closures:
+        for b in closures:
+            assert (a == b) == (a.formulas == b.formulas), (a.texts(), b.texts())
+            assert (a != b) == (a.formulas != b.formulas)
+            assert a != b or hash(a) == hash(b)
+    assert closure([parse("p")]) != (parse("p"),)
 
 
 def test_closure_keys_match_size_and_print():
