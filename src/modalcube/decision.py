@@ -22,7 +22,7 @@ from . import values
 from ._accel import WorkLimitError, compat_matrix, signatures, support_filter_round
 from .formula import (Atom, Box, Closure, Formula, FormulaError, Implies, children,
                       closure, print_formula, subformulas)
-from .logics import _VALUE_OF, Logic, _compose, _frame_relations, frame_tables
+from .logics import _VALUE_OF, Logic, _compose, _frame_relations, _valuations, frame_tables
 from .nmatrix import BOT_VALUE_OF, _check_admissible, nmatrix
 from .values import in_mask, mask_of
 
@@ -397,44 +397,24 @@ def _refuting(clo: Closure, rows: np.ndarray,
 
 
 @cache
-def _atom_patterns(a: int) -> tuple[int, ...]:
-    """Atom k's truth over the 2**a valuations, as one int: bit v is
-    set iff bit k of v is, so blocks of 2**k clear and 2**k set bits
-    alternate.  Each pattern doubles one period until it spans 2**a bits."""
-    n = 1 << a
-    patterns = []
-    for k in range(a):
-        half = 1 << k
-        pattern, width = ((1 << half) - 1) << half, 2 * half
-        while width < n:
-            pattern |= pattern << width
-            width *= 2
-        patterns.append(pattern)
-    return tuple(patterns)
-
-
-@cache
 def _frame_bits(k: int, props: frozenset[str],
                 a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The atoms and missing edges of the frames `_frame_relations(k, props)`
-    over `a` atoms, in `_frames_refute`'s layout: a block of F * V bits per
-    world, F frames of V = 2**(a*k) valuation bits each.
-
-    Bit i*k + w of valuation v is atom i at world w, so atom i at world w is
-    `_atom_patterns(a*k)[i*k + w]` in every frame of world w's block.
-    `lacks[u]` sets the V bits of frame j in world w's block iff frame j has
-    no edge from w to u.
+    over `a` atoms, in `_frames_refute`'s layout [world][frame][valuation]
+    of k * F * V bits, V = 2**(a*k): atom i is its `_valuations(k, a)`
+    truth copied to every frame, and `lacks[u]` sets the V bits of frame j
+    in world w's block iff frame j has no edge from w to u.  Each int is
+    packed from one bool[k, F, V] at a time, bit 0 first.
     """
-    rels = _frame_relations(k, props)
-    n = 1 << a * k
-    B = len(rels) * n
-    frames = sum(1 << j * n for j in range(len(rels)))   # one bit per frame
-    patterns = _atom_patterns(a * k)
-    atoms = tuple(sum(patterns[i * k + w] * frames << w * B for w in range(k))
-                  for i in range(a))
-    lacks = tuple(sum(((1 << n) - 1) << w * B + j * n
-                      for j, rel in enumerate(rels) for w in range(k) if not rel[w, u])
-                  for u in range(k))
+    missing = ~_frame_relations(k, props)
+    bits = np.empty((k, len(missing), 1 << a * k), dtype=bool)
+
+    def packed(layout: np.ndarray) -> int:
+        bits[:] = layout
+        return int.from_bytes(np.packbits(bits, bitorder="little"), "little")
+
+    atoms = tuple(packed(truth[:, None]) for truth in _valuations(k, a))
+    lacks = tuple(packed(edges[..., None]) for edges in missing.transpose(2, 1, 0))
     return atoms, lacks
 
 
@@ -584,7 +564,9 @@ def extend_column(model: TableModel, f: Formula) -> TableModel:
     cell, F on those rows and ff on stable rows, which have no successors,
     is the value the successors give.  The choice preserves the row count
     (an empty model extends to an empty model over the extended closure),
-    and re-filtering the result deletes nothing.
+    and re-filtering the result deletes nothing.  A multi-value cell
+    without the value its row's successors give raises ValueError naming
+    the first such row: the model is not filtered.
     """
     logic = model.logic
     rows = model.rows
@@ -607,8 +589,11 @@ def extend_column(model: TableModel, f: Formula) -> TableModel:
             some = (rel & designates).any(axis=1)
             value = _VALUE_OF[designates * 4 + every * 2 + ~some]
             bits[multi] &= np.arange(8) == value[multi, None]
-        # code 255 where no value is left, which `validate_rows` rejects
-        newcol = np.where(bits.any(axis=1), bits.argmax(axis=1), 255).astype(np.uint8)
+            lacking = np.flatnonzero(~bits.any(axis=1))
+            if lacking.size:
+                raise ValueError(f"row {lacking[0]} has no value of {print_formula(f)} that "
+                                 "its successors give: the model is not filtered")
+        newcol = bits.argmax(axis=1).astype(np.uint8)
 
     new_rows = np.hstack([rows, newcol.reshape(-1, 1)])
     return TableModel(logic, clo, new_rows, model.iterations)

@@ -150,15 +150,6 @@ def lor(a: Formula, b: Formula) -> Formula:
     return Implies(lnot(a), b)
 
 
-def size(f: Formula) -> int:
-    """Node count of the core tree."""
-    if isinstance(f, (Atom, Falsum)):
-        return 1
-    if isinstance(f, Box):
-        return 1 + size(f.operand)
-    return 1 + size(f.left) + size(f.right)
-
-
 def children(f: Formula) -> tuple[Formula, ...]:
     if isinstance(f, Implies):
         return (f.left, f.right)

@@ -8,7 +8,8 @@ row designates it) and relates the worlds by the table's frame relation,
 the one `decision.frame_relation` that column extension also reads, after
 checking that it has the logic's frame properties.
 The oracle searches relational models up to a world bound, one frame per
-isomorphism class (`logics._frame_relations`), and reports the first world
+isomorphism class (`logics._frame_relations`) under the valuations that
+`logics._valuations` lays out, and reports the first world
 satisfying the assumptions but not the goal: the same one a search over
 every labelled frame reports.
 """
@@ -25,6 +26,7 @@ from .decision import (
 from .formula import Atom, Falsum, Formula, Implies, subformulas
 from .logics import (
     _MAX_RELATION_BITS, Logic, _check_names, _compose, _frame_relations, _holds, _missing,
+    _valuations,
 )
 from .values import in_mask
 
@@ -200,11 +202,7 @@ def oracle_decide(logic: Logic, assumptions, goal: Formula,
             raise OracleBudgetError(f"{n} worlds x {len(atoms)} atoms over budget")
 
         nval = 1 << (len(atoms) * n)
-        vmasks = np.arange(nval, dtype=np.int64)
-        vals = {
-            name: ((vmasks >> (k * n + np.arange(n))[:, None]) & 1).astype(bool)
-            for k, name in enumerate(atoms)
-        }
+        vals = dict(zip(atoms, _valuations(n, len(atoms))))
         false = np.zeros((n, nval), dtype=bool)
 
         rels = _frame_relations(n, logic.frame_props)

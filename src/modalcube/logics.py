@@ -5,7 +5,9 @@ condition has one name, the property in `_PROP_OF_AXIOM`.  A logic's
 values, the values that may follow each value along an edge and its box
 column are read off the relations on three worlds that meet all of the
 logic's conditions (`frame_tables`), one per isomorphism class
-(`_frame_relations`, which the oracle searches too).
+(`_frame_relations`, which the oracle searches too).  The valuations of
+atoms on n worlds have one layout, which the tables, the oracle and
+`decide`'s frame stages read (`_valuations`).
 """
 
 from __future__ import annotations
@@ -148,6 +150,26 @@ def _frame_relations(n: int, props: frozenset[str]) -> np.ndarray:
     return reps[keep]
 
 
+_CLEAR_THEN_SET = np.array([[False], [True]])
+
+
+def _valuations(n: int, atoms: int):
+    """The valuations of `atoms` atoms on `n` worlds: one bool[n, V] per
+    atom, V = 2**(atoms*n), each built when it is reached.  Atom i holds at
+    world w under valuation v iff bit i*n + w of v is set.  `frame_tables`,
+    the oracle and `decide`'s frame stages all read this one layout.
+
+    Bit b over the ascending valuations is 2**b clear values, then 2**b
+    set ones, repeated, so each world's row is written through a
+    (V / 2**(b+1), 2, 2**b) view of it.
+    """
+    for i in range(atoms):
+        truth = np.empty((n, 1 << atoms * n), dtype=bool)
+        for w in range(n):
+            truth[w].reshape(-1, 2, 1 << i * n + w)[:] = _CLEAR_THEN_SET
+        yield truth
+
+
 # ---------------------------------------------------------------------------
 # Values read off frames
 # ---------------------------------------------------------------------------
@@ -185,7 +207,7 @@ def frame_tables(props: frozenset[str], worlds: int = 3) -> FrameTables:
     """
     _check_names(props)
     rels = _frame_relations(worlds, props)
-    p = (np.arange(1 << worlds) >> np.arange(worlds)[:, None]) & 1 == 1
+    (p,) = _valuations(worlds, 1)
     at = value_at(rels, p)
     boxed = np.zeros((8, 8), dtype=bool)
     boxed[at, value_at(rels, ~_compose(rels, ~p))] = True

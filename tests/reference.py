@@ -5,7 +5,9 @@ value at a time with each cell checked as the value is added, no masks, no
 vectorization.  It reads its truth tables from the JSON transcription in
 tests/data and derives the successor constraints from the per-axiom
 relational conditions with its own code instead of calling the library's,
-so a slip on either side shows up as a mismatch.  Forcing, likewise, is
+so a slip on either side shows up as a mismatch.  The frame stage's atom
+and missing-edge ints are built by doubling bit patterns instead of by
+packing the shared valuation arrays.  Forcing, likewise, is
 checked world by world with plain loops instead of the library's relation
 products, parsing by recursive descent, one call per grammar rule,
 instead of the library's one pass over an explicit stack, and random
@@ -22,6 +24,7 @@ import numpy as np
 from modalcube.cli import _GEN_WEIGHTS, _LEAF_WEIGHTS
 from modalcube.formula import (BOT, Atom, Box, Falsum, Formula, Implies, ParseError, _tokenize,
                                land, ldia, lnot, lor)
+from modalcube.logics import _frame_relations
 
 _DATA = json.loads((Path(__file__).parent / "data" / "tables.json").read_text())
 
@@ -353,3 +356,52 @@ def random_formula(rng, max_depth: int, atoms: list[str]) -> Formula:
     if kind == "and":
         return land(a, b)
     return lor(a, b)
+
+
+def size(f) -> int:
+    """Node count of the core tree, one recursive call per node: the
+    tests' independent reference for the canonical order."""
+    if isinstance(f, (Atom, Falsum)):
+        return 1
+    if isinstance(f, Box):
+        return 1 + size(f.operand)
+    return 1 + size(f.left) + size(f.right)
+
+
+# The int construction `decision._frame_bits` replaced, kept as the
+# reference its packed arrays are compared with.
+
+def atom_patterns(a: int) -> tuple[int, ...]:
+    """Atom k's truth over the 2**a valuations, as one int: bit v is
+    set iff bit k of v is, so blocks of 2**k clear and 2**k set bits
+    alternate.  Each pattern doubles one period until it spans 2**a bits."""
+    n = 1 << a
+    patterns = []
+    for k in range(a):
+        half = 1 << k
+        pattern, width = ((1 << half) - 1) << half, 2 * half
+        while width < n:
+            pattern |= pattern << width
+            width *= 2
+        patterns.append(pattern)
+    return tuple(patterns)
+
+
+def frame_bits(k: int, props, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The atoms and missing edges of the frames `_frame_relations(k, props)`
+    over `a` atoms: a block of F * V bits per world, F frames of
+    V = 2**(a*k) valuation bits each.  Atom i at world w is
+    `atom_patterns(a*k)[i*k + w]` in every frame of world w's block;
+    `lacks[u]` sets the V bits of frame j in world w's block iff frame j has
+    no edge from w to u."""
+    rels = _frame_relations(k, props)
+    n = 1 << a * k
+    B = len(rels) * n
+    frames = sum(1 << j * n for j in range(len(rels)))   # one bit per frame
+    patterns = atom_patterns(a * k)
+    atoms = tuple(sum(patterns[i * k + w] * frames << w * B for w in range(k))
+                  for i in range(a))
+    lacks = tuple(sum(((1 << n) - 1) << w * B + j * n
+                      for j, rel in enumerate(rels) for w in range(k) if not rel[w, u])
+                  for u in range(k))
+    return atoms, lacks

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -31,7 +32,7 @@ from modalcube.kripke import (
     KripkeModel, _truth, check_frame, forces, frame_props, oracle_decide, to_kripke,
 )
 from modalcube.logics import (
-    AXIOM_SCHEMAS, _frame_relations, all_logics, frame_tables, lookup, value_at,
+    AXIOM_SCHEMAS, _frame_relations, _valuations, all_logics, frame_tables, lookup, value_at,
 )
 from modalcube.nmatrix import BOT_VALUE_OF, ValueNotInLogicError, nmatrix
 from modalcube.values import in_mask, names_in, value_id
@@ -872,10 +873,10 @@ def test_one_world_check_matches_the_enumerated_rows(logic_name):
 
 
 def _small_queries():
-    """Every formula up to size 5, and every consequence with one
+    """Every formula up to size 6, and every consequence with one
     assumption up to size 3."""
     small = _formulas_up_to(3)
-    return [((), g) for g in _formulas_up_to(5)] + [((a,), g) for a in small for g in small]
+    return [((), g) for g in _formulas_up_to(6)] + [((a,), g) for a in small for g in small]
 
 
 def test_frames_refute_matches_the_oracle(monkeypatch, logic_name):
@@ -947,6 +948,43 @@ def test_frames_refute_certificates(logic_name):
             assert decision._refuting(clo, rows[[world]], assumptions, goal).all()
             certified[k] += 1
     assert certified[1] and certified[2], certified
+
+
+def test_stages_of_the_exhaustive_pool():
+    """`decide` on every formula up to size 6 (522) in all 15 logics
+    answers at the pinned stages, and an INVALID verdict at the stage of
+    the least world count of the 3-world oracle's countermodel: no INVALID
+    needs the filter, and no VALID one has a countermodel of 3 worlds."""
+    stages = collections.Counter()
+    for logic in all_logics():
+        for goal in _formulas_up_to(6):
+            verdict = decide(logic, [], goal)
+            oracle = oracle_decide(logic, [], goal, 3)
+            stages[verdict.stage] += 1
+            assert verdict.valid == (not oracle.found), (logic.name, str(goal))
+            if oracle.found:
+                assert verdict.stage == f"{oracle.countermodel.world_count}-world"
+    assert stages == {"1-world": 4602, "2-world": 414, "3-world": 18, "early-valid": 2401,
+                      "filter": 395}
+
+
+def euclidean_frames_hold(max_size):
+    """Extract the filtered model of the closure of every formula up to
+    `max_size` in each euclidean logic; return the number of models.  Each
+    row finds a support clique (`to_kripke` raises nothing) and the frame
+    relation passes `check_frame`.  Tier-1 runs it to size 6, CI to 8."""
+    count = 0
+    for name in ("K5", "KD5", "K45", "KD45", "KB5", "KT45"):
+        logic = lookup(name)
+        for f in _formulas_up_to(max_size):
+            km = to_kripke(filter_model(logic, closure([f])))
+            assert check_frame(km.relation, logic.frame_props), (name, str(f))
+            count += 1
+    return count
+
+
+def test_every_filtered_row_finds_a_euclidean_support_clique():
+    assert euclidean_frames_hold(6) == 3132
 
 
 _EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -1207,18 +1245,35 @@ def test_row_cap_surfaces_on_the_first_read_of_the_rows(monkeypatch):
         decide(lookup("K"), [], parse("p -> []p"), row_cap=10)
     # its 4 valuations already pass a cap of 3, so `decide` enumerates and
     # raises without building a valuation
-    monkeypatch.setattr(decision, "_atom_patterns", None)
+    monkeypatch.setattr(decision, "_frame_bits", None)
     with pytest.raises(RowLimitError):
         decide(lookup("K"), [], parse("[]p -> ([]q -> p)"), row_cap=3)
 
 
 @pytest.mark.parametrize("a", range(7))
 def test_atom_patterns_list_every_valuation(a):
-    patterns = decision._atom_patterns(a)
-    assert len(patterns) == a
-    for k, pattern in enumerate(patterns):
-        assert pattern.bit_length() <= 1 << a
-        assert all((pattern >> v & 1) == (v >> k & 1) for v in range(1 << a))
+    """Atom i's truth from `logics._valuations` on n = 1, 2 and 3 worlds:
+    entry [w, v] is bit i*n + w of v, so the atoms' truths at the worlds
+    list every valuation once."""
+    for n in (1, 2, 3):
+        v = np.arange(1 << a * n)
+        truths = list(_valuations(n, a))
+        assert len(truths) == a
+        for i, truth in enumerate(truths):
+            assert truth.shape == (n, len(v)) and truth.dtype == bool
+            for w in range(n):
+                assert np.array_equal(truth[w], v >> i * n + w & 1 == 1), (n, i, w)
+
+
+def test_frame_bits_match_the_doubled_patterns(logic_name):
+    """The packed atom and missing-edge ints of `_frame_bits` equal the
+    ints that `reference.frame_bits` builds by doubling bit patterns, for
+    k = 1, 2 and 3 worlds and up to four atoms."""
+    props = lookup(logic_name).frame_props
+    for k in (1, 2, 3):
+        for a in range(5):
+            got = decision._frame_bits.__wrapped__(k, props, a)
+            assert got == ref.frame_bits(k, props, a), (k, a)
 
 
 def test_verdict_repr_leaves_the_model_unfiltered(monkeypatch):
@@ -1300,18 +1355,21 @@ def test_extend_empty_model_with_atom():
     assert extend_column(ext, Box(q)).rows.shape == (0, 3)
 
 
-def test_extend_unfiltered_model_marks_a_cell_without_the_profile_value():
+def test_extend_unfiltered_model_refuses_a_cell_without_the_profile_value():
     """Outside a filtered model a multi-value cell need not hold the value
-    its row's successors give: the row takes code 255, which
-    `validate_rows` rejects.  In KD's table of <>bot the row with []!bot =
-    ttt has no admissible successor, and filtering deletes it."""
+    its row's successors give, and extension raises ValueError naming the
+    first such row.  In KD's table of <>bot the row with []!bot = ttt has
+    no admissible successor, and filtering deletes it."""
     logic, clo = lookup("KD"), closure([parse("<>bot")])
     model = TableModel(logic, clo, enumerate_rows(logic, clo))
-    ext = extend_column(model, Box(clo.formulas[-1]))
     assert model.rows.tolist() == [[0, 7, 4, 3], [0, 7, 6, 1], [0, 7, 7, 0]]
-    assert ext.rows[:, -1].tolist() == [255, 1, 1]
-    assert validate_rows(logic, ext.closure, ext.rows).tolist() == [False, True, True]
-    assert filter_model(logic, clo).rows.tolist() == [[0, 7, 7, 0]]
+    message = ("row 0 has no value of []([](bot -> bot) -> bot) that its successors give: "
+               "the model is not filtered")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        extend_column(model, Box(clo.formulas[-1]))
+    filtered = filter_model(logic, clo)
+    assert filtered.rows.tolist() == [[0, 7, 7, 0]]
+    assert extend_column(filtered, Box(clo.formulas[-1])).rows[:, -1].tolist() == [values.F]
 
 
 def test_atom_model_holds_every_admissible_value(logic_name):

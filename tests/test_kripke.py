@@ -461,6 +461,10 @@ def test_oracle_matches_the_search_over_every_frame(logic_name):
     cases = [([], instantiate(schema, {"a": p, "b": q})) for schema in schemas.values()]
     cases += [([], random_formula(rng, 3, ["p", "q"])) for _ in range(10)]
     cases.append(([parse("[]p"), parse("<>(p -> q)")], parse("[]q")))
+    # two worlds, refuted at world 0 by p true only at world 1 (valuation
+    # bit 1) or by q true only at world 0 (bit 2): the first such valuation
+    # pins the order of the valuation bits
+    cases.append(([], parse("!((!p & <>p) | (q & <>!q))")))
     for assumptions, goal in cases:
         verdict = oracle_decide(logic, assumptions, goal, 3)
         want = _search_every_frame(logic, assumptions, goal, 3)
