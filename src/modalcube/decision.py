@@ -397,16 +397,15 @@ def _refuting(clo: Closure, rows: np.ndarray,
 
 
 @cache
-def _frame_bits(k: int, props: frozenset[str],
-                a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The atoms and missing edges of the frames `_frame_relations(k, props)`
-    over `a` atoms, in `_frames_refute`'s layout [world][frame][valuation]
-    of k * F * V bits, V = 2**(a*k): atom i is its `_valuations(k, a)`
-    truth copied to every frame, and `lacks[u]` sets the V bits of frame j
-    in world w's block iff frame j has no edge from w to u.  Each int is
-    packed from one bool[k, F, V] at a time, bit 0 first.
-    """
-    missing = ~_frame_relations(k, props)
+def _frame_bits(k: int, edges: bytes, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The atoms and missing edges of the frames `edges`, the bytes of a
+    `_frame_relations(k, props)`, over `a` atoms, in `_frames_refute`'s
+    layout [world][frame][valuation] of k * F * V bits, V = 2**(a*k): atom
+    i is its `_valuations(k, a)` truth copied to every frame, and `lacks[u]`
+    sets the V bits of frame j in world w's block iff frame j has no edge
+    from w to u.  Each int is packed from one bool[k, F, V] at a time, bit
+    0 first.  Logics with the same frames share one cache entry."""
+    missing = ~np.frombuffer(edges, dtype=bool).reshape(-1, k, k)
     bits = np.empty((k, len(missing), 1 << a * k), dtype=bool)
 
     def packed(layout: np.ndarray) -> int:
@@ -440,11 +439,11 @@ def _frames_refute(logic: Logic, subs: list[Formula], assumptions: tuple[Formula
     enumeration, which raises `RowLimitError` as it would without it.
     """
     a = sum(type(f) is Atom for f in subs)
-    frames = len(_frame_relations(k, logic.frame_props))
-    B = frames << a * k
+    rels = _frame_relations(k, logic.frame_props)
+    B = len(rels) << a * k
     if k * B > row_cap:
         return 0
-    atoms, lacks = _frame_bits(k, logic.frame_props, a)
+    atoms, lacks = _frame_bits(k, rels.tobytes(), a)
     full = (1 << k * B) - 1
     block = (1 << B) - 1
     worlds = range(B, k * B, B)

@@ -22,7 +22,7 @@ ASCII grammar (precedence: prefix > '&' > '|' > '->', '->' right-assoc)::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 RESERVED = frozenset({"bot"})
@@ -41,11 +41,12 @@ class ParseError(FormulaError):
 class Formula:
     """Base class for the four core node kinds.
 
-    Each node caches its hash, computed at construction from its children's
-    cached hashes, so hashing never walks a subtree.  Equality walks both
-    trees together over an explicit stack, so it never recurses, and it
-    compares each pair of nodes once, so shared subtrees cost no more than
-    their distinct nodes.
+    Nodes are hash-consed: a constructor returns the node of its kind with
+    those children (an atom: that name) if the process built one, else it
+    builds and records it.  So equal formulas are one object, and equality
+    and hashing are identity.  The tables keep every node for the life of
+    the process, about 124 bytes per distinct node.  Nodes refuse
+    assignment, a pickle rebuilds through the constructor, a copy is itself.
     """
 
     __slots__ = ()
@@ -53,81 +54,101 @@ class Formula:
     def __str__(self) -> str:
         return print_formula(self)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Formula):
-            return NotImplemented
-        stack, seen = [(self, other)], set()
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            t = type(a)
-            if t is not type(b) or a._hash != b._hash:
-                return False
+    def __repr__(self) -> str:
+        """The constructor form, cut after `_REPR_LIMIT` characters with
+        '...': written from the root down, so in bounded time at any size."""
+        out, length, stack = [], 0, [self]
+        while stack and length <= _REPR_LIMIT:
+            f = stack.pop()
+            t = type(f)
             if t is Implies:
-                pair = (id(a), id(b))
-                if pair not in seen:
-                    seen.add(pair)
-                    stack += ((a.right, b.right), (a.left, b.left))
+                text = "Implies("
+                stack += (")", f.right, ", ", f.left)
             elif t is Box:
-                stack.append((a.operand, b.operand))
-            elif t is Atom and a.name != b.name:
-                return False
-        return True
+                text = "Box("
+                stack += (")", f.operand)
+            else:  # a piece of text, an atom or falsum
+                text = f if t is str else f"Atom({f.name!r})" if t is Atom else "Falsum()"
+            out.append(text)
+            length += len(text)
+        text = "".join(out)
+        return text[:_REPR_LIMIT] + "..." if stack else text
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, field) for field in self.__slots__)
+
+    def __deepcopy__(self, memo) -> Formula:
+        return self
 
 
-@dataclass(frozen=True, slots=True)
+_REPR_LIMIT = 1000
+
+# The node of each atom name, (left, right) pair and box operand; recorded
+# with `dict.setdefault`, so two threads building one formula get one node.
+_ATOMS: dict[str, Atom] = {}
+_IMPLICATIONS: dict[tuple[Formula, Formula], Implies] = {}
+_BOXES: dict[Formula, Box] = {}
+
+
+def _node(cls: type, **children: Formula) -> Formula:
+    """A new node of `cls` with these children, each a formula."""
+    node = object.__new__(cls)
+    for field, child in children.items():
+        if not isinstance(child, Formula):
+            raise FormulaError(f"not a formula: {child!r}")
+        object.__setattr__(node, field, child)
+    return node
+
+
 class Atom(Formula):
-    name: str
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if not ATOM_RE.fullmatch(self.name):
-            raise FormulaError(f"invalid atom name {self.name!r}")
-        if self.name in RESERVED:
-            raise FormulaError(f"atom name {self.name!r} is a reserved word")
-        object.__setattr__(self, "_hash", hash((0, self.name)))
+    def __new__(cls, name: str) -> Atom:
+        node = _ATOMS.get(name)
+        if node is None:
+            if not ATOM_RE.fullmatch(name):
+                raise FormulaError(f"invalid atom name {name!r}")
+            if name in RESERVED:
+                raise FormulaError(f"atom name {name!r} is a reserved word")
+            node = object.__new__(cls)
+            object.__setattr__(node, "name", name)
+            node = _ATOMS.setdefault(name, node)
+        return node
 
-    __hash__ = Formula.__hash__
 
-
-@dataclass(frozen=True, slots=True)
 class Falsum(Formula):
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((1,)))
-
-    __hash__ = Formula.__hash__
+    def __new__(cls) -> Falsum:
+        return BOT
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Implies(Formula):
-    left: Formula
-    right: Formula
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((2, self.left._hash, self.right._hash)))
+    def __new__(cls, left: Formula, right: Formula) -> Implies:
+        node = _IMPLICATIONS.get((left, right))
+        if node is None:
+            node = _IMPLICATIONS.setdefault((left, right), _node(cls, left=left, right=right))
+        return node
 
-    __hash__ = Formula.__hash__
 
-
-@dataclass(frozen=True, slots=True, eq=False)
 class Box(Formula):
-    operand: Formula
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("operand",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((3, self.operand._hash)))
+    def __new__(cls, operand: Formula) -> Box:
+        node = _BOXES.get(operand)
+        if node is None:
+            node = _BOXES.setdefault(operand, _node(cls, operand=operand))
+        return node
 
-    __hash__ = Formula.__hash__
 
-
-BOT = Falsum()
+BOT = object.__new__(Falsum)
 
 
 # Desugaring constructors.  These are the single source of truth for what the
@@ -162,30 +183,21 @@ def children(f: Formula) -> tuple[Formula, ...]:
 # Parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(->|\[\]|<>|[!|&()]|[a-z][A-Za-z0-9_]*)")
+# a symbol, a name, or any other character, which is an error
+_TOKEN_RE = re.compile(r"\s*(?:(->|\[\]|<>|[!|&()])|([a-z][A-Za-z0-9_]*)|(\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Return (kind, value, position) triples, terminated by an EOF marker."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}",
-                             len(text) - len(stripped))
-        value = m.group(1)
-        start = m.end(1) - len(value)
-        if value == "bot":
-            tokens.append(("bot", value, start))
-        elif value[0].isalpha():
-            tokens.append(("atom", value, start))
+    for m in _TOKEN_RE.finditer(text):
+        symbol, name, other = m.groups()
+        if other:
+            raise ParseError(f"unexpected character {other!r}", m.start(3))
+        if symbol:
+            tokens.append((symbol, symbol, m.start(1)))
         else:
-            tokens.append((value, value, start))
-        pos = m.end()
+            tokens.append(("bot" if name == "bot" else "atom", name, m.start(2)))
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -316,7 +328,9 @@ class Closure:
 
     Every formula appears after all of its subformulas.  Instances built via
     closure() are additionally in canonical order (size, then core print);
-    extending a model appends new formulas at the end instead.
+    extending a model appends new formulas at the end instead.  Closures
+    are equal, and hash alike, when their members are the same formulas in
+    the same order: formulas are hash-consed, so that compares identities.
     """
 
     formulas: tuple[Formula, ...]
@@ -341,19 +355,6 @@ class Closure:
             index[f] = i
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_structure", tuple(structure))
-
-    def __eq__(self, other) -> bool:
-        """Equal structure and atom names: members come after their children,
-        so by induction every position holds equal formulas.  Linear in the
-        closure's length, where comparing members would walk each chain."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._structure == other._structure
-                and self.atom_positions() == other.atom_positions())
-
-    def __hash__(self) -> int:
-        # formula hashes are structural, so equal closures hash alike
-        return hash(self.formulas)
 
     def __len__(self) -> int:
         return len(self.formulas)

@@ -17,13 +17,14 @@ formulas by one call per node instead of the CLI generator's stack.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
 from modalcube.cli import _GEN_WEIGHTS, _LEAF_WEIGHTS
-from modalcube.formula import (BOT, Atom, Box, Falsum, Formula, Implies, ParseError, _tokenize,
-                               land, ldia, lnot, lor)
+from modalcube.formula import (BOT, Atom, Box, Falsum, Formula, Implies, ParseError, land,
+                               ldia, lnot, lor)
 from modalcube.logics import _frame_relations
 
 _DATA = json.loads((Path(__file__).parent / "data" / "tables.json").read_text())
@@ -257,7 +258,37 @@ def printed(f, resugar: bool = False) -> str:
 
 # The recursive-descent parser `formula.parse` replaced, kept verbatim as
 # the reference its one-pass loop is compared with; it raises ParseError
-# past the recursion limit, one call per nesting level.
+# past the recursion limit, one call per nesting level.  It reads the
+# tokens of the loop over `re.match` calls that `formula._tokenize`'s one
+# `finditer` replaced.
+
+_TOKEN_RE = re.compile(r"\s*(->|\[\]|<>|[!|&()]|[a-z][A-Za-z0-9_]*)")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Return (kind, value, position) triples, terminated by an EOF marker."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unexpected character {stripped[0]!r}",
+                             len(text) - len(stripped))
+        value = m.group(1)
+        start = m.end(1) - len(value)
+        if value == "bot":
+            tokens.append(("bot", value, start))
+        elif value[0].isalpha():
+            tokens.append(("atom", value, start))
+        else:
+            tokens.append((value, value, start))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -356,6 +387,21 @@ def random_formula(rng, max_depth: int, atoms: list[str]) -> Formula:
     if kind == "and":
         return land(a, b)
     return lor(a, b)
+
+
+def equal(f, g) -> bool:
+    """Structural equality, one recursive call per pair of nodes, by kind,
+    atom name and children: the tests' independent reference for the
+    identity that hash-consing gives equal formulas."""
+    if type(f) is not type(g):
+        return False
+    if isinstance(f, Atom):
+        return f.name == g.name
+    if isinstance(f, Box):
+        return equal(f.operand, g.operand)
+    if isinstance(f, Implies):
+        return equal(f.left, g.left) and equal(f.right, g.right)
+    return True
 
 
 def size(f) -> int:

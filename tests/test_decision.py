@@ -1271,9 +1271,29 @@ def test_frame_bits_match_the_doubled_patterns(logic_name):
     k = 1, 2 and 3 worlds and up to four atoms."""
     props = lookup(logic_name).frame_props
     for k in (1, 2, 3):
+        edges = _frame_relations(k, props).tobytes()
         for a in range(5):
-            got = decision._frame_bits.__wrapped__(k, props, a)
+            got = decision._frame_bits.__wrapped__(k, edges, a)
             assert got == ref.frame_bits(k, props, a), (k, a)
+
+
+def test_logics_with_equal_frames_share_frame_bits():
+    """`_frame_bits` is cached on the frames, not on the properties: after
+    `decide`'s one-world check in all 15 logics the cache holds the 2 sets
+    of one-world frames (a dead end and a reflexive point, or the point
+    alone), and logics with equal frames get the identical tuples, on one
+    world and on two, where the 15 logics have 11 sets of frames."""
+    decision._frame_bits.cache_clear()
+    for name in ALL_LOGIC_NAMES:
+        assert decide(lookup(name), [], parse("p -> p")).stage == "early-valid"
+    assert decision._frame_bits.cache_info().currsize == 2
+    for k, distinct in ((1, 2), (2, 11)):
+        first = {}
+        for name in ALL_LOGIC_NAMES:
+            edges = _frame_relations(k, lookup(name).frame_props).tobytes()
+            bits = decision._frame_bits(k, edges, 1)
+            assert first.setdefault(edges, bits) is bits, (k, name)
+        assert len(first) == distinct, k
 
 
 def test_verdict_repr_leaves_the_model_unfiltered(monkeypatch):

@@ -1,11 +1,18 @@
+import copy
 import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import modalcube
 import reference as ref
 from modalcube.cli import random_formula
 from modalcube.formula import (
@@ -50,13 +57,13 @@ def test_parse_takes_any_depth():
 
 
 def test_closure_takes_equal_deep_formulas_built_apart():
-    # hashes, sort keys and equality never walk a subtree recursively, so
-    # two equal formulas nested past the recursion limit and built apart
-    # have one closure
+    # formulas are hash-consed, so two equal formulas nested past the
+    # recursion limit and built apart are one object, and sort keys never
+    # walk a subtree recursively: they have one closure
     f, g = Atom("p"), Atom("p")
     for _ in range(3000):
         f, g = lnot(f), lnot(g)
-    assert f is not g and f == g and not f != g
+    assert f is g and f == g and not f != g
     clo = closure([f, g])
     assert len(clo) == 3002 and clo.position(f) == clo.position(g) == 3001
     assert closure([f]) == closure([g]) and hash(closure([f])) == hash(closure([g]))
@@ -261,8 +268,9 @@ def test_subformulas_list_a_shared_subtree_once():
 
 
 def test_equality_compares_shared_subtrees_once():
-    """Two shared trees of more than 2**60 nodes, built apart, compare in
-    one visit per pair of distinct nodes: equal, or unequal at one leaf."""
+    """Two shared trees of more than 2**60 nodes, built apart, are one
+    object: each constructor call finds the node its children make, so
+    equality is identity, equal or unequal at one leaf."""
     def shared(leaf):
         f = leaf
         for _ in range(60):
@@ -270,14 +278,137 @@ def test_equality_compares_shared_subtrees_once():
         return f
 
     f, g, h = shared(Atom("p")), shared(Atom("p")), shared(Atom("q"))
-    assert f is not g and f == g and hash(f) == hash(g)
+    assert f is g and f == g and hash(f) == hash(g)
     assert f != h and g != h and f != Box(f) and f != "p"
-    assert Implies(p, BOT) == lnot(Atom("p")) != Implies(q, BOT)
-    assert Box(p) != Implies(p, p) and Falsum() == BOT != p
-    # a hash collision still compares atom names
-    collides = Atom("q")
-    object.__setattr__(collides, "_hash", hash(p))
-    assert hash(Box(collides)) == hash(Box(p)) and Box(collides) != Box(p)
+    assert Implies(p, BOT) is lnot(Atom("p")) != Implies(q, BOT)
+    assert Box(p) != Implies(p, p) and Falsum() is BOT != p
+
+
+def test_repr_of_a_shared_tree_is_bounded():
+    """60 nested `f = []f & f` is more than 2**60 nodes as a tree; its
+    repr is the constructor form cut at a fixed length, written from the
+    root down, so it returns at once."""
+    f = p
+    for _ in range(60):
+        f = land(Box(f), f)
+    start = time.perf_counter()
+    text = repr(f)
+    assert time.perf_counter() - start < 1
+    assert text.startswith("Implies(Implies(Box(Implies(") and text.endswith("...")
+    assert len(text) < 1100
+    assert repr(parse("[]p -> bot")) == "Implies(Box(Atom('p')), Falsum())"
+
+
+def _seeded_formulas(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    return [ref.random_formula(rng, rng.randint(0, 3), ["p", "q"]) for _ in range(count)]
+
+
+def test_identity_is_structural_equality():
+    """Two formulas are one object exactly when `reference.equal`, a
+    recursive structural comparison, finds them equal: over every pair of
+    300 seeded random formulas, and over each of them and its core and
+    resugared prints parsed back by the reference parser."""
+    formulas = _seeded_formulas(38, 300)
+    identical = 0
+    for f in formulas:
+        for g in formulas:
+            assert (f is g) == ref.equal(f, g), (f, g)
+            identical += f is g
+        for text in (print_formula(f), print_formula(f, resugar=True)):
+            g = ref.parse(text)
+            assert g is f and ref.equal(g, f) and g is parse(text), text
+    assert 300 < identical < 300 * 300 // 2
+
+
+def test_copies_and_pickles_are_the_interned_node():
+    """Pickling rebuilds a node through its constructor, so a round trip
+    at every protocol returns the node itself, as `copy.copy` and
+    `copy.deepcopy` do, also past the recursion limit and inside a
+    container."""
+    deep = p
+    for _ in range(3000):
+        deep = lnot(deep)
+    for f in _seeded_formulas(39, 100) + [BOT, deep]:
+        assert copy.copy(f) is f and copy.deepcopy(f) is f
+        if f is not deep:
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(f, protocol)) is f
+    pair = copy.deepcopy([deep, {deep: Box(deep)}])
+    assert pair[0] is deep and pair[1][deep] is Box(deep)
+    assert Falsum() is BOT and type(BOT) is Falsum
+
+
+def test_nodes_refuse_assignment():
+    f = Implies(Box(p), q)
+    for node, field in ((p, "name"), (Box(p), "operand"), (f, "left"), (f, "right")):
+        with pytest.raises(AttributeError, match="nodes are immutable"):
+            setattr(node, field, q)
+        with pytest.raises(AttributeError, match="nodes are immutable"):
+            delattr(node, field)
+    with pytest.raises(AttributeError, match="nodes are immutable"):
+        BOT.extra = 1
+    assert f.left is Box(p) and f.right is q and p.name == "p"
+
+
+def test_threads_building_one_formula_get_one_node():
+    """Eight threads race to build the same 8000 formulas over new atoms,
+    switching every microsecond: each formula is one node in every thread,
+    since a node is recorded with `dict.setdefault`."""
+    def build(out):
+        barrier.wait(timeout=10)
+        for i in range(2000):
+            a = Atom(f"race{i}")
+            out += (a, Box(a), Implies(a, Box(a)), lnot(Implies(a, Box(a))))
+
+    barrier, built = threading.Barrier(8), [[] for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in built]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == 8000 for out in built)
+    for nodes in zip(*built):
+        assert all(f is nodes[0] for f in nodes)
+
+
+@pytest.mark.parametrize("bad", [None, "p", 0])
+def test_constructors_refuse_what_is_not_a_formula(bad):
+    for build in (lambda: Box(bad), lambda: Implies(p, bad), lambda: Implies(bad, p)):
+        with pytest.raises(FormulaError, match="^not a formula: "):
+            build()
+
+
+# Interning 200000 distinct nodes (100000 implications, 100000 boxes) in a
+# fresh interpreter, with tracemalloc counting what the tables keep.  Five
+# fresh runs on a 2-core x86 host with Python 3.11.7 each retained 124.4
+# bytes per node; the bound is that rounded up to the next multiple of 8.
+_INTERN_200K = """
+import tracemalloc
+from modalcube.formula import Atom, Box, Implies
+p = Atom("p")
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+f = p
+for _ in range(100_000):
+    f = Box(Implies(f, p))
+print((tracemalloc.get_traced_memory()[0] - before) / 200_000)
+"""
+_INTERNED_NODE_BYTES = 128
+
+
+def test_interned_nodes_retain_a_bounded_size():
+    env = {**os.environ, "PYTHONPATH": str(Path(modalcube.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _INTERN_200K],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= _INTERNED_NODE_BYTES, proc.stdout
 
 
 def test_closure_refuses_a_shared_tree_past_the_bound():
