@@ -23,7 +23,7 @@ from ._accel import WorkLimitError, compat_matrix, signatures, support_filter_ro
 from .formula import (Atom, Box, Closure, Formula, FormulaError, Implies, children,
                       closure, print_formula, subformulas)
 from .logics import _VALUE_OF, Logic, _compose, _frame_relations, _valuations, frame_tables
-from .nmatrix import BOT_VALUE_OF, _check_admissible, nmatrix
+from .nmatrix import _IMP_MASKS, BOT_VALUE_OF, _check_admissible, nmatrix
 from .values import in_mask, mask_of
 
 ROW_CAP_DEFAULT = 2_000_000
@@ -323,7 +323,9 @@ class Verdict:
     """A consequence verdict over the closure of the assumptions and goal.
 
     `stage` names the stage of `decide` that answered: "1-world",
-    "early-valid", "2-world", "3-world" or "filter".  `closure` is the
+    "early-valid", "2-world", "3-world" or "filter".  Only a table scan
+    or the filter enumerates, so a verdict of a frame stage or of
+    propagation may come past the row cap.  `closure` is the
     canonical closure of the assumptions and the goal, built on its first
     read; `rows` is its enumerated table, built on its first read with the
     verdict's `row_cap`; `model` is the filtered table, built on its first
@@ -473,6 +475,194 @@ def _frames_refute(logic: Logic, subs: list[Formula], assumptions: tuple[Formula
     return bad
 
 
+class _Lazy(dict):
+    """A table filled on first read: `table[key]` is `fill(key)`."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key: int) -> int:
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _image(cells, p: int) -> int:
+    """The union of the cells `cells[a]` over the values a in p."""
+    out = 0
+    for a in range(8):
+        if p >> a & 1:
+            out |= cells[a]
+    return out
+
+
+def _support(cells, r: int) -> int:
+    """The values a whose cell `cells[a]` meets r."""
+    out = 0
+    for a in range(8):
+        if cells[a] & r:
+            out |= 1 << a
+    return out
+
+
+def _unary_sets(cells) -> tuple[_Lazy, _Lazy]:
+    """The image and the support of value sets through the cells of a
+    one-argument connective, by value."""
+    return _Lazy(lambda p: _image(cells, p)), _Lazy(lambda r: _support(cells, r))
+
+
+_IMP = _IMP_MASKS.tolist()
+_IMP_T = _IMP_MASKS.T.tolist()
+
+# The implication cells between value sets, shared by all logics.  First,
+# united over one argument: by q and then a, the values of a -> b over b in
+# q; by p and then b, those over a in p.  Then the values of x -> y for x in
+# p and y in q, by p << 8 | q; the x that give a value in r with some y in
+# q, by q << 8 | r; and the y that give a value in r with some x in p, by
+# p << 8 | r.  Propagation keeps every set inside the logic's values, where
+# these are the logic's own cells.
+_IMP_ROWS = _Lazy(lambda q: [_image(row, q) for row in _IMP])
+_IMP_COLS = _Lazy(lambda p: [_image(col, p) for col in _IMP_T])
+_IMP_IMAGE = _Lazy(lambda key: _image(_IMP_ROWS[key & 255], key >> 8))
+_IMP_LEFT = _Lazy(lambda key: _support(_IMP_ROWS[key >> 8], key & 255))
+_IMP_RIGHT = _Lazy(lambda key: _support(_IMP_COLS[key >> 8], key & 255))
+# x -> x reads the diagonal cells alone
+_IMP_SELF = _unary_sets(_IMP_MASKS.diagonal().tolist())
+
+
+@cache
+def _box_sets(logic: Logic) -> tuple[_Lazy, _Lazy]:
+    return _unary_sets(nmatrix(logic).box_masks.tolist())
+
+
+def _no_refuting_row(logic: Logic, subs: list[Formula],
+                     assumptions: tuple[Formula, ...], goal: Formula) -> bool:
+    """Whether propagating value sets through the cells shows that no table
+    row over `subs` designates every assumption and not the goal
+    (generalized arc consistency; Mackworth, "Consistency in networks of
+    relations", 1977).  False where it shows nothing.
+
+    No row mixes stable with non-stable values, so each fragment of the
+    logic's values is propagated alone, and the answer is yes when every
+    fragment closes.  In a fragment, each subformula's domain starts at the
+    values it may take there: an atom at all of them, falsum at the
+    fragment's `BOT_VALUE_OF`, an implication or a box at the image of its
+    children's domains through its cell.  No cell over one fragment is
+    empty, so that leaves every cell consistent.  Then the goal keeps its
+    undesignated values and each assumption its designated ones, and
+    `_revise` propagates what that removed.  An empty domain closes the
+    fragment: the values of a refuting row satisfy every cell, so they
+    survive every revision.  No row is read, so no row cap bounds this.
+    """
+    box = _box_sets(logic)
+    roots = (goal, *assumptions)
+    readers = None
+    for fragment in (~values.STABLE_MASK, values.STABLE_MASK):
+        fragment &= logic.values_mask
+        if not fragment:
+            continue
+        dom = _domains(subs, fragment, box[0])
+        dom[goal] &= values.DC_MASK
+        for f in assumptions:
+            dom[f] &= values.D_MASK
+        if all(dom[f] for f in roots):
+            readers = readers or _readers(subs)
+            if not _revise(dom, readers, roots, box):
+                return False
+    return True
+
+
+def _readers(subs: list[Formula]) -> dict[Formula, list[Formula]]:
+    """The cells that read each subformula's domain besides its own: those
+    of its parents."""
+    readers: dict[Formula, list[Formula]] = {f: [] for f in subs}
+    for f in subs:
+        t = type(f)
+        if t is Implies:
+            readers[f.left].append(f)
+            if f.right is not f.left:
+                readers[f.right].append(f)
+        elif t is Box:
+            readers[f.operand].append(f)
+    return readers
+
+
+def _domains(subs: list[Formula], fragment: int, box_image: _Lazy) -> dict[Formula, int]:
+    """The values each of `subs` may take in rows of `fragment`'s values,
+    read off its cell over its children's values (`box_image` the box's,
+    by `_box_sets`)."""
+    self_image = _IMP_SELF[0]
+    bot = 1 << int(BOT_VALUE_OF[fragment.bit_length() - 1])
+    dom: dict[Formula, int] = {}
+    for f in subs:
+        t = type(f)
+        if t is Implies:
+            x, y = f.left, f.right
+            dom[f] = fragment & (self_image[dom[x]] if x is y else
+                                 _IMP_IMAGE[dom[x] << 8 | dom[y]])
+        elif t is Box:
+            dom[f] = fragment & box_image[dom[f.operand]]
+        else:
+            dom[f] = fragment if t is Atom else bot
+    return dom
+
+
+def _revise(dom: dict[Formula, int], readers: dict[Formula, list[Formula]], shrunk,
+            box: tuple[_Lazy, _Lazy]) -> bool:
+    """Revise the cells that read the domains of `shrunk` until no domain of
+    `dom` shrinks; whether one empties.
+
+    Revising an implication x -> y keeps the values of x, y and itself that
+    a cell over the other two domains supports; revising a box []x does so
+    for x and itself, by the logic's `box` (`_box_sets`).  A domain that
+    shrinks queues every cell that reads it: its own and its `readers`.  A
+    domain shrinks at most 8 times, so the revisions are linear in the
+    number of domains, and no row count bounds them.
+    """
+    box_image, box_support = box
+    self_image, self_support = _IMP_SELF
+    queue: list[Formula] = []
+    for g in shrunk:
+        queue.append(g)
+        queue += readers[g]
+    while queue:
+        f = queue.pop()
+        t = type(f)
+        if t is Box:
+            x, y = f.operand, None
+            r = dom[f] & box_image[dom[x]]
+            p = dom[x] & box_support[r]
+        elif t is Implies:
+            x, y = f.left, f.right
+            p, q = dom[x], dom[y]
+            if x is y:
+                y = None
+                r = dom[f] & self_image[p]
+                p &= self_support[r]
+            else:
+                r = dom[f] & _IMP_IMAGE[p << 8 | q]
+                p &= _IMP_LEFT[q << 8 | r]
+                q &= _IMP_RIGHT[p << 8 | r]
+        else:  # an atom or falsum reads no other domain
+            continue
+        if not r:
+            return True
+        # each value of r has a supporting pair, so p and q keep a value;
+        # the cell of f is consistent now, so it is not queued again
+        if r != dom[f]:
+            dom[f] = r
+            queue += readers[f]
+        if p != dom[x]:
+            dom[x] = p
+            queue.append(x)
+            queue += (h for h in readers[x] if h is not f)
+        if y is not None and q != dom[y]:
+            dom[y] = q
+            queue.append(y)
+            queue += (h for h in readers[y] if h is not f)
+    return False
+
+
 def decide(logic: Logic, assumptions, goal: Formula,
            row_cap: int = ROW_CAP_DEFAULT) -> Verdict:
     """Consequence check over the filtered model of the combined closure.
@@ -482,18 +672,26 @@ def decide(logic: Logic, assumptions, goal: Formula,
     verdict's `stage`:
 
     - "1-world": a one-world frame refutes the goal (`_frames_refute`).
-    - "early-valid": no row of the table refutes the goal.  The table is
-      enumerated over the subformula list in children-first order, which
-      holds the same rows as the canonical closure's, by other columns.
-      Filtering only deletes rows, so the verdict is VALID.
+    - "early-valid": propagating value sets through the cells shows that
+      no row of the table refutes the goal (`_no_refuting_row`).  No row
+      is read, so this answers VALID past the row cap too.
     - "2-world", "3-world": a frame of two or three worlds refutes it.
+    - "early-valid": no row of the enumerated table refutes it, which
+      propagation can miss, since it splits no cases (`(q -> p) -> q` |-
+      `q & q`).  The table is enumerated over the subformula list in
+      children-first order, which holds the same rows as the canonical
+      closure's, by other columns.
     - "filter": the filtered model of those same rows decides.
 
-    A refuting world of a frame gives a row that survives every filter, so
-    each frame stage is exact.  No stage builds the canonical closure.  An
-    INVALID verdict's `witness_index` is the first (in row order) refuting
-    row of the canonical filtered model, found when it is read; at stage
-    "filter" that model is the survivors, reordered, not a second filter.
+    Filtering only deletes rows, so a table without a refuting row is
+    VALID.  A refuting world of a frame gives a row that survives every
+    filter, so each frame stage is exact; and since that row is a table
+    row, propagation never answers where a frame would.  So `decide`
+    enumerates only past the frame stages, and no stage builds the
+    canonical closure.  An INVALID verdict's `witness_index` is the first
+    (in row order) refuting row of the canonical filtered model, found when
+    it is read; at stage "filter" that model is the survivors, reordered,
+    not a second filter.
     """
     assumptions = tuple(assumptions)
     for f in assumptions + (goal,):
@@ -503,15 +701,18 @@ def decide(logic: Logic, assumptions, goal: Formula,
     verdict = Verdict(False, logic, goal, assumptions, row_cap, "1-world")
     if _frames_refute(logic, subs, assumptions, goal, 1, row_cap):
         return verdict
-    clo = Closure(tuple(subs))
-    rows = enumerate_rows(logic, clo, row_cap)
-    if not _refuting(clo, rows, assumptions, goal).any():
+    if _no_refuting_row(logic, subs, assumptions, goal):
         verdict.valid, verdict.stage = True, "early-valid"
         return verdict
     for k in (2, 3):
         if _frames_refute(logic, subs, assumptions, goal, k, row_cap):
             verdict.stage = f"{k}-world"
             return verdict
+    clo = Closure(tuple(subs))
+    rows = enumerate_rows(logic, clo, row_cap)
+    if not _refuting(clo, rows, assumptions, goal).any():
+        verdict.valid, verdict.stage = True, "early-valid"
+        return verdict
     survivors = _filtered(logic, clo, rows)
     verdict.valid = not _refuting(clo, survivors.rows, assumptions, goal).any()
     verdict.stage, verdict._survivors = "filter", survivors

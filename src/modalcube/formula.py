@@ -46,7 +46,7 @@ class Formula:
     builds and records it.  So equal formulas are one object, and equality
     and hashing are identity.  The tables keep every node for the life of
     the process, about 124 bytes per distinct node.  Nodes refuse
-    assignment, a pickle rebuilds through the constructor, a copy is itself.
+    assignment, a pickle rebuilds through the constructors, a copy is itself.
     """
 
     __slots__ = ()
@@ -80,13 +80,31 @@ class Formula:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, field) for field in self.__slots__)
+        """A formula at most `_PICKLE_DEPTH` levels tall rebuilds through its
+        constructor, so a pickle holds each node once, however many of the
+        formulas pickled with it share it.  A taller one sends the
+        children-first list of its subformulas (`_flat`), so a pickle of
+        any depth needs no recursion; taller formulas pickled side by side
+        each send their own list, while a `Closure` sends one for all its
+        members."""
+        level = {self}
+        for _ in range(_PICKLE_DEPTH):
+            level = {c for f in level for c in children(f)}
+            if not level:
+                return type(self), (self.name,) if type(self) is Atom else children(self)
+        return _last_built, (_flat(subformulas([self])),)
+
+    def __copy__(self) -> Formula:
+        return self
 
     def __deepcopy__(self, memo) -> Formula:
         return self
 
 
 _REPR_LIMIT = 1000
+# a constructor-form pickle recurses a few frames per level: 100 levels stay
+# well inside the default recursion limit
+_PICKLE_DEPTH = 100
 
 # The node of each atom name, (left, right) pair and box operand; recorded
 # with `dict.setdefault`, so two threads building one formula get one node.
@@ -149,6 +167,34 @@ class Box(Formula):
 
 
 BOT = object.__new__(Falsum)
+
+
+def _flat(subs) -> list:
+    """`subs`, each after its children, as its atom's name, None for
+    falsum, or the positions of its children in the list."""
+    at = {f: i for i, f in enumerate(subs)}
+    return [f.name if type(f) is Atom else None if f is BOT else
+            (at[f.operand],) if type(f) is Box else (at[f.left], at[f.right])
+            for f in subs]
+
+
+def _built(nodes) -> list[Formula]:
+    """The formulas that `_flat` listed as `nodes`."""
+    built: list[Formula] = []
+    for node in nodes:
+        if node is None:
+            built.append(BOT)
+        elif type(node) is str:
+            built.append(Atom(node))
+        elif len(node) == 1:
+            built.append(Box(built[node[0]]))
+        else:
+            built.append(Implies(built[node[0]], built[node[1]]))
+    return built
+
+
+def _last_built(nodes) -> Formula:
+    return _built(nodes)[-1]
 
 
 # Desugaring constructors.  These are the single source of truth for what the
@@ -356,6 +402,11 @@ class Closure:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_structure", tuple(structure))
 
+    def __reduce__(self):
+        """The members are children-first, so one `_flat` list sends them
+        all, each node once, at any depth."""
+        return _closure_built, (_flat(self.formulas),)
+
     def __len__(self) -> int:
         return len(self.formulas)
 
@@ -383,6 +434,10 @@ class Closure:
         are -1.
         """
         return self._structure
+
+
+def _closure_built(nodes) -> Closure:
+    return Closure(tuple(_built(nodes)))
 
 
 def subformulas(roots) -> list[Formula]:

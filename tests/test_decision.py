@@ -5,6 +5,8 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -34,7 +36,7 @@ from modalcube.kripke import (
 from modalcube.logics import (
     AXIOM_SCHEMAS, _frame_relations, _valuations, all_logics, frame_tables, lookup, value_at,
 )
-from modalcube.nmatrix import BOT_VALUE_OF, ValueNotInLogicError, nmatrix
+from modalcube.nmatrix import _IMP_MASKS, BOT_VALUE_OF, ValueNotInLogicError, nmatrix
 from modalcube.values import in_mask, names_in, value_id
 
 p, q = Atom("p"), Atom("q")
@@ -1118,24 +1120,25 @@ def _never_enumerate(logic, clo, row_cap=decision.ROW_CAP_DEFAULT):
 
 
 def test_one_world_invalid_never_enumerates(monkeypatch, logic_name):
-    """`p` is refuted at a reflexive point in every logic, and `[]p` |-
-    `[]q -> p` at a dead end, so only in the six non-serial logics; the
-    serial ones enumerate it, and it is valid in those with axiom T.
-    `p -> []p` needs two worlds."""
+    """`decide` enumerates only when it reaches the scan or the filter.
+    `p` is refuted at a reflexive point in every logic, and `[]p` |-
+    `[]q -> p` at a dead end in the six non-serial logics; in the serial
+    ones two worlds refute it, and propagation shows it valid in those
+    with axiom T.  `p -> []p` needs two worlds.  `[](p -> p)` is
+    filtered, so it enumerates."""
     logic = lookup(logic_name)
     monkeypatch.setattr(decision, "enumerate_rows", _never_enumerate)
     verdict = decide(logic, [], parse("p"))
     assert not verdict.valid and "rows" not in vars(verdict)
-    with pytest.raises(AssertionError, match="enumerate_rows called"):
-        decide(logic, [], parse("p -> []p"))
-    dead_end = [parse("[]p")], parse("[]q -> p")
+    assert decide(logic, [], parse("p -> []p")).stage == "2-world"
+    dead_end = decide(logic, [parse("[]p")], parse("[]q -> p"))
     if logic_name in ("K", "KB", "K4", "K5", "K45", "KB5"):
-        assert not decide(logic, *dead_end).valid
-        return
+        want = "1-world"
+    else:
+        want = "early-valid" if logic_name in ("KT", "KTB", "KT4", "KT45") else "2-world"
+    assert (dead_end.stage, dead_end.valid) == (want, want == "early-valid")
     with pytest.raises(AssertionError, match="enumerate_rows called"):
-        decide(logic, *dead_end)
-    monkeypatch.undo()
-    assert decide(logic, *dead_end).valid == (logic_name in ("KT", "KTB", "KT4", "KT45"))
+        decide(logic, [], parse("[](p -> p)"))
 
 
 def _never_close(roots):
@@ -1146,7 +1149,9 @@ def test_one_world_invalid_never_builds_the_closure(monkeypatch, logic_name):
     """`decide` reads the subformula list alone, so no verdict builds its
     canonical closure until it is read, whichever stage answers: `p` (one
     world in every logic), `[]p` |- `[]q -> p` (a dead end in the six
-    non-serial logics, enumerated in the others), `p -> p` (early VALID),
+    non-serial logics; in the serial ones two worlds refute it, or
+    propagation shows it valid where the logic has axiom T), `p -> p`
+    (early VALID),
     `p -> []p` (two worlds), `[]p -> [][]p` (three worlds in KT) and
     `[](p -> p)` (filtered)."""
     logic = lookup(logic_name)
@@ -1202,27 +1207,26 @@ def _never(*args):
 
 def _queries(x):
     """Consequences with `x` in them: with `x` = `p`, a one-world frame
-    refutes the first two in K, and the last two enumerate."""
+    refutes the first two in K, two worlds the third, and propagation
+    shows the last one valid."""
     return [([], x), ([x], q), ([x], parse("p -> []p")), ([p], x)]
 
 
 @pytest.mark.parametrize("bad", ["p", None])
 def test_decide_rejects_what_is_not_a_formula(monkeypatch, bad):
     """A goal or assumption that is not a `Formula` raises `FormulaError`
-    before any work, on the one-world path and on the enumerating path."""
+    before any work, on the one-world, the propagating and the two-world
+    path, none of which enumerates."""
     logic = lookup("K")
     monkeypatch.setattr(decision, "enumerate_rows", _never_enumerate)
-    for k, query in enumerate(_queries(p)):
-        if k < 2:
-            assert not decide(logic, *query).valid
-        else:
-            with pytest.raises(AssertionError, match="enumerate_rows called"):
-                decide(logic, *query)
+    assert [decide(logic, *query).stage for query in _queries(p)] == [
+        "1-world", "1-world", "2-world", "early-valid"]
     monkeypatch.undo()
     for query in _queries(bad):
         with pytest.raises(FormulaError, match="^not a formula: "):
             decide(logic, *query)
-    for name in ("subformulas", "_frames_refute", "closure", "enumerate_rows"):
+    for name in ("subformulas", "_frames_refute", "_no_refuting_row", "closure",
+                 "enumerate_rows"):
         monkeypatch.setattr(decision, name, _never)
     for query in _queries(bad):
         with pytest.raises(FormulaError, match="^not a formula: "):
@@ -1232,7 +1236,8 @@ def test_decide_rejects_what_is_not_a_formula(monkeypatch, bad):
 def test_row_cap_surfaces_on_the_first_read_of_the_rows(monkeypatch):
     """A dead end refutes the goal, so `decide` answers past the row cap,
     and the cap raises once the table, model or witness is read.  `p -> []p`
-    needs two worlds, so `decide` enumerates it and raises."""
+    needs two worlds, whose 128 world rows pass the cap, so `decide` skips
+    that stage, enumerates it and raises."""
     verdict = decide(lookup("K"), [], parse("[]p -> ([]q -> p)"), row_cap=10)
     assert not verdict.valid and verdict.row_cap == 10
     with pytest.raises(RowLimitError) as e:
@@ -1248,6 +1253,149 @@ def test_row_cap_surfaces_on_the_first_read_of_the_rows(monkeypatch):
     monkeypatch.setattr(decision, "_frame_bits", None)
     with pytest.raises(RowLimitError):
         decide(lookup("K"), [], parse("[]p -> ([]q -> p)"), row_cap=3)
+
+
+def test_early_valid_answers_past_the_row_cap():
+    """Propagation reads no rows, so the KB theorem that CI decides on the
+    command line (269296 rows) is VALID at "early-valid" under a cap of
+    1000, as "1-world" answers INVALID past it, and the cap raises once
+    the table is read.  Stable rows are propagated too: a dead end refutes
+    `<>(p -> p)` in K, and with a cap of 3 the 1-world check (4 world
+    rows) is skipped, so `decide` enumerates and raises."""
+    f = parse("[]([]p -> <>q) -> <>([]r -> <>[]s) -> []([]p -> <>q)")
+    verdict = decide(lookup("KB"), [], f, row_cap=1000)
+    assert (verdict.valid, verdict.stage) == (True, "early-valid")
+    with pytest.raises(RowLimitError):
+        verdict.rows
+    with pytest.raises(RowLimitError):
+        decide(lookup("K"), [], parse("<>(p -> p)"), row_cap=3)
+    assert decide(lookup("K"), [], parse("<>(p -> p)"), row_cap=4).stage == "1-world"
+
+
+def test_propagation_never_hides_a_refuting_row():
+    """Over every formula up to size 6 and every consequence with one
+    assumption up to size 3, in all 15 logics, propagation never says that
+    no row refutes the goal where `_refuting` finds one.  It answers every
+    early VALID of the pool (2401 of 2401) and of the consequences (2107
+    of 2107)."""
+    small = _formulas_up_to(3)
+    pools = {"pool": [((), g) for g in _formulas_up_to(6)],
+             "consequences": [((a,), g) for a in small for g in small]}
+    seen = collections.Counter()
+    for logic in all_logics():
+        for name, queries in pools.items():
+            for assumptions, goal in queries:
+                subs = subformulas(assumptions + (goal,))
+                shown = decision._no_refuting_row(logic, subs, assumptions, goal)
+                clo = Closure(tuple(subs))
+                refuted = decision._refuting(clo, enumerate_rows(logic, clo), assumptions,
+                                             goal).any()
+                assert not (shown and refuted), (logic.name, assumptions, goal)
+                seen[name, shown, bool(refuted)] += 1
+    assert seen == {("pool", True, False): 2401, ("pool", False, True): 5429,
+                    ("consequences", True, False): 2107, ("consequences", False, True): 2753}
+
+
+def test_propagation_answers_every_early_valid_cube_entry(monkeypatch):
+    """Propagation answers all 752 early VALIDs of the cube entries, so
+    `decide` enumerates exactly for the 30 that reach the filter.  An
+    implication x -> x reads the diagonal cells alone: `p -> p` closes in
+    K, and so do cube/pool/01451 (K4 `(<>p -> <>p) & ...`) and
+    cube/pool/01398 (KD5 `q` |- `[][]q -> (p -> p) & (p -> p)`)."""
+    calls = []
+    counted = functools.partial(_counted_enumerate, calls, decision.enumerate_rows)
+    monkeypatch.setattr(decision, "enumerate_rows", counted)
+    stages = collections.Counter()
+    for logic, assumptions, goal, _ in _cube_entries():
+        before = len(calls)
+        verdict = decide(logic, assumptions, goal)
+        stages[verdict.stage] += 1
+        assert len(calls) - before == (verdict.stage == "filter"), (logic.name, goal)
+    assert (stages["early-valid"], stages["filter"], len(calls)) == (752, 30, 30)
+    queries = json.loads(_EXPECTED.read_text())["queries"]
+    for qid, name in (("cube/pool/01451", "K4"), ("cube/pool/01398", "KD5")):
+        q = queries[qid]
+        assumptions, goal = tuple(map(parse, q["assumptions"])), parse(q["goal"])
+        assert q["logic"] == name and decide(lookup(name), assumptions, goal).stage == "early-valid"
+    assert decision._no_refuting_row(lookup("K"), [p, parse("p -> p")], (), parse("p -> p"))
+
+
+def test_scan_answers_what_propagation_misses(monkeypatch, logic_name):
+    """Arc consistency splits no cases, so it does not show that no row
+    designates `(q -> p) -> q` and not `q & q`; no frame refutes that
+    either, so `decide` enumerates the table once (28 to 76 rows), and the
+    scan answers "early-valid" before the filter runs."""
+    logic = lookup(logic_name)
+    a, g = parse("(q -> p) -> q"), parse("q & q")
+    assert not decision._no_refuting_row(logic, subformulas([a, g]), (a,), g)
+    calls = []
+    counted = functools.partial(_counted_enumerate, calls, decision.enumerate_rows)
+    monkeypatch.setattr(decision, "enumerate_rows", counted)
+    monkeypatch.setattr(decision, "_filtered", _never)
+    verdict = decide(logic, [a], g)
+    assert (verdict.valid, verdict.stage, len(calls)) == (True, "early-valid", 1)
+
+
+def _counted_enumerate(calls, enumerate, logic, clo, row_cap=decision.ROW_CAP_DEFAULT):
+    calls.append(clo)
+    return enumerate(logic, clo, row_cap)
+
+
+def _brute_image(cells, p):
+    return functools.reduce(int.__or__, (int(cells[a]) for a in values.values_in(p)), 0)
+
+
+def _brute_support(cells, r):
+    return sum(1 << a for a in range(8) if int(cells[a]) & r)
+
+
+def test_propagation_cells_match_the_nmatrix():
+    """The lazily filled cells between value sets equal a loop over
+    `nmatrix._IMP_MASKS` and each logic's `box_masks`: every key of the
+    one-argument tables, and 4000 seeded keys of each implication table."""
+    imp = _IMP_MASKS
+    rng = random.Random(39)
+    for _ in range(4000):
+        p, q, r = (rng.randrange(256) for _ in range(3))
+        assert decision._IMP_IMAGE[p << 8 | q] == functools.reduce(
+            int.__or__, (int(imp[a, b]) for a in values.values_in(p)
+                         for b in values.values_in(q)), 0)
+        assert decision._IMP_LEFT[q << 8 | r] == sum(
+            1 << a for a in range(8) if any(imp[a, b] & r for b in values.values_in(q)))
+        assert decision._IMP_RIGHT[p << 8 | r] == sum(
+            1 << b for b in range(8) if any(imp[a, b] & r for a in values.values_in(p)))
+    tables = [(decision._IMP_SELF, imp.diagonal())]
+    tables += [(decision._box_sets(logic), nmatrix(logic).box_masks) for logic in all_logics()]
+    for (image, support), cells in tables:
+        for s in range(256):
+            assert image[s] == _brute_image(cells, s) and support[s] == _brute_support(cells, s)
+
+
+def test_propagation_tables_are_empty_at_import():
+    """No propagation table is built when the module is imported."""
+    code = ("from modalcube import decision as d; "
+            "print(sum(map(len, (d._IMP_ROWS, d._IMP_COLS, d._IMP_IMAGE, d._IMP_LEFT, "
+            "d._IMP_RIGHT, *d._IMP_SELF))), d._box_sets.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(Path(decision.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.split() == ["0", "0"]
+
+
+def test_propagation_is_linear_in_the_closure():
+    """A domain shrinks at most 8 times and requeues only the cells that
+    read it, so propagation travels the three box chains of KD45's
+    `[]`*3000 `(p -> q) -> ([]`*3000 `p -> []`*3000 `q)` (9005 subformulas)
+    in linear time: about 20 ms on a 2-core x86 host (Python 3.11.7)."""
+    chain = "[]" * 3000
+    f = parse(f"{chain}(p -> q) -> ({chain}p -> {chain}q)")
+    subs = subformulas([f])
+    assert len(subs) == 9005
+    start = time.perf_counter()
+    assert decision._no_refuting_row(lookup("KD45"), subs, (), f)
+    assert time.perf_counter() - start < 1
+    verdict = decide(lookup("KD45"), [], f)
+    assert (verdict.valid, verdict.stage) == (True, "early-valid")
 
 
 @pytest.mark.parametrize("a", range(7))

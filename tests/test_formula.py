@@ -14,9 +14,10 @@ from hypothesis import given, strategies as st
 
 import modalcube
 import reference as ref
+from modalcube import formula
 from modalcube.cli import random_formula
 from modalcube.formula import (
-    CLOSURE_TREE_LIMIT, Atom, Box, Closure, Falsum, FormulaError, Implies, ParseError, children,
+    CLOSURE_TREE_LIMIT, Atom, Box, Closure, Falsum, Formula, FormulaError, Implies, ParseError, children,
     closure, instantiate, land, ldia, lnot, lor, parse, print_formula, subformulas,
 )
 
@@ -321,22 +322,53 @@ def test_identity_is_structural_equality():
     assert 300 < identical < 300 * 300 // 2
 
 
+def _negations(n: int) -> Formula:
+    f = p
+    for _ in range(n):
+        f = lnot(f)
+    return f
+
+
 def test_copies_and_pickles_are_the_interned_node():
-    """Pickling rebuilds a node through its constructor, so a round trip
+    """Pickling rebuilds a node through the constructors, so a round trip
     at every protocol returns the node itself, as `copy.copy` and
-    `copy.deepcopy` do, also past the recursion limit and inside a
-    container."""
-    deep = p
-    for _ in range(3000):
-        deep = lnot(deep)
-    for f in _seeded_formulas(39, 100) + [BOT, deep]:
+    `copy.deepcopy` do: a node at most `_PICKLE_DEPTH` levels tall through
+    its own constructor, a taller one from its children-first subformula
+    list, so also past the recursion limit and inside a container.  The
+    pure-Python pickler takes the tallest constructor form too."""
+    deep = _negations(3000)
+    tallest = _negations(formula._PICKLE_DEPTH - 1)  # p and 99 negations: 100 levels
+    for f in _seeded_formulas(39, 100) + [BOT, deep, Implies(deep, Box(deep)), tallest,
+                                          lnot(tallest)]:
         assert copy.copy(f) is f and copy.deepcopy(f) is f
-        if f is not deep:
-            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-                assert pickle.loads(pickle.dumps(f, protocol)) is f
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(f, protocol)) is f
+    assert b"_last_built" not in pickle.dumps(tallest)
+    assert b"_last_built" in pickle.dumps(lnot(tallest))
+    assert pickle._loads(pickle._dumps([tallest, Box(tallest)])) == [tallest, Box(tallest)]
     pair = copy.deepcopy([deep, {deep: Box(deep)}])
     assert pair[0] is deep and pair[1][deep] is Box(deep)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        pair = pickle.loads(pickle.dumps([deep, {deep: Box(deep)}], protocol))
+        assert pair[0] is deep and pair[1][deep] is Box(deep)
     assert Falsum() is BOT and type(BOT) is Falsum
+
+
+def test_pickles_hold_each_node_once():
+    """A closure sends one node list for all its members, and formulas up
+    to `_PICKLE_DEPTH` levels tall share their nodes through the pickle's
+    memo, so both pickles grow linearly with a chain's length: doubling it
+    at most doubles the size, plus the wider positions.  A closure round
+    trip gives the same members."""
+    def size(obj):
+        return len(pickle.dumps(obj))
+
+    for n in (300, 600):
+        clo = closure([_negations(n)])
+        assert pickle.loads(pickle.dumps(clo)) == clo
+        assert size(closure([_negations(2 * n)])) < 2.2 * size(clo)
+    half = formula._PICKLE_DEPTH // 2 - 1  # 2 * half negations: 99 levels
+    assert size(subformulas([_negations(2 * half)])) < 2.2 * size(subformulas([_negations(half)]))
 
 
 def test_nodes_refuse_assignment():
