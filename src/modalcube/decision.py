@@ -505,29 +505,26 @@ def _support(cells, r: int) -> int:
     return out
 
 
+# Propagation reads every cell as a list of eight cells, indexed by the
+# value of one argument x: a box's column (`_box_sets`); the diagonal, for
+# x -> x; and for x -> y, the cells united over y's set q, by x's value
+# (`_IMP_OVER_Y[q]`), or united over x's set p, by y's value
+# (`_IMP_OVER_X[p]`).  Each list is read through one lazily filled (image,
+# support) pair.  The implication lists are shared by all logics:
+# propagation keeps every set inside the logic's values, where they are the
+# logic's own cells.
+
 def _unary_sets(cells) -> tuple[_Lazy, _Lazy]:
-    """The image and the support of value sets through the cells of a
-    one-argument connective, by value."""
+    """The list `cells`' image of a set of x's values, and its support of a
+    set r: the values of x whose cell meets r."""
     return _Lazy(lambda p: _image(cells, p)), _Lazy(lambda r: _support(cells, r))
 
 
 _IMP = _IMP_MASKS.tolist()
 _IMP_T = _IMP_MASKS.T.tolist()
-
-# The implication cells between value sets, shared by all logics.  First,
-# united over one argument: by q and then a, the values of a -> b over b in
-# q; by p and then b, those over a in p.  Then the values of x -> y for x in
-# p and y in q, by p << 8 | q; the x that give a value in r with some y in
-# q, by q << 8 | r; and the y that give a value in r with some x in p, by
-# p << 8 | r.  Propagation keeps every set inside the logic's values, where
-# these are the logic's own cells.
-_IMP_ROWS = _Lazy(lambda q: [_image(row, q) for row in _IMP])
-_IMP_COLS = _Lazy(lambda p: [_image(col, p) for col in _IMP_T])
-_IMP_IMAGE = _Lazy(lambda key: _image(_IMP_ROWS[key & 255], key >> 8))
-_IMP_LEFT = _Lazy(lambda key: _support(_IMP_ROWS[key >> 8], key & 255))
-_IMP_RIGHT = _Lazy(lambda key: _support(_IMP_COLS[key >> 8], key & 255))
-# x -> x reads the diagonal cells alone
 _IMP_SELF = _unary_sets(_IMP_MASKS.diagonal().tolist())
+_IMP_OVER_Y = _Lazy(lambda q: _unary_sets([_image(row, q) for row in _IMP]))
+_IMP_OVER_X = _Lazy(lambda p: _unary_sets([_image(col, p) for col in _IMP_T]))
 
 
 @cache
@@ -547,10 +544,10 @@ def _no_refuting_row(logic: Logic, subs: list[Formula],
     fragment closes.  In a fragment, each subformula's domain starts at the
     values it may take there: an atom at all of them, falsum at the
     fragment's `BOT_VALUE_OF`, an implication or a box at the image of its
-    children's domains through its cell.  No cell over one fragment is
-    empty, so that leaves every cell consistent.  Then the goal keeps its
-    undesignated values and each assumption its designated ones, and
-    `_revise` propagates what that removed.  An empty domain closes the
+    first argument's domain through its list of cells (`_domains`).  No
+    cell over one fragment is empty, so that leaves every cell consistent.
+    Then the goal keeps its undesignated values and each assumption its
+    designated ones, and `_revise` propagates what that removed.  An empty domain closes the
     fragment: the values of a refuting row satisfy every cell, so they
     survive every revision.  No row is read, so no row cap bounds this.
     """
@@ -588,9 +585,9 @@ def _readers(subs: list[Formula]) -> dict[Formula, list[Formula]]:
 
 
 def _domains(subs: list[Formula], fragment: int, box_image: _Lazy) -> dict[Formula, int]:
-    """The values each of `subs` may take in rows of `fragment`'s values,
-    read off its cell over its children's values (`box_image` the box's,
-    by `_box_sets`)."""
+    """The values each of `subs` may take in rows of `fragment`'s values:
+    an implication or a box the image of its first argument's domain
+    through its list of cells (`box_image` the box's, by `_box_sets`)."""
     self_image = _IMP_SELF[0]
     bot = 1 << int(BOT_VALUE_OF[fragment.bit_length() - 1])
     dom: dict[Formula, int] = {}
@@ -598,8 +595,8 @@ def _domains(subs: list[Formula], fragment: int, box_image: _Lazy) -> dict[Formu
         t = type(f)
         if t is Implies:
             x, y = f.left, f.right
-            dom[f] = fragment & (self_image[dom[x]] if x is y else
-                                 _IMP_IMAGE[dom[x] << 8 | dom[y]])
+            image = self_image if x is y else _IMP_OVER_Y[dom[y]][0]
+            dom[f] = fragment & image[dom[x]]
         elif t is Box:
             dom[f] = fragment & box_image[dom[f.operand]]
         else:
@@ -612,15 +609,16 @@ def _revise(dom: dict[Formula, int], readers: dict[Formula, list[Formula]], shru
     """Revise the cells that read the domains of `shrunk` until no domain of
     `dom` shrinks; whether one empties.
 
-    Revising an implication x -> y keeps the values of x, y and itself that
-    a cell over the other two domains supports; revising a box []x does so
-    for x and itself, by the logic's `box` (`_box_sets`).  A domain that
-    shrinks queues every cell that reads it: its own and its `readers`.  A
-    domain shrinks at most 8 times, so the revisions are linear in the
-    number of domains, and no row count bounds them.
+    Every cell f over x is a list of eight cells by x's value, read through
+    its (image, support) pair: the logic's `box` (`_box_sets`) for []x, the
+    diagonal for x -> x, and for x -> y the cells united over y's domain.
+    Revising f keeps the values r of f in the image of x's domain, and the
+    values of x that support r; for x -> y, y keeps the values that support
+    r in the cells united over x's revised domain.  A domain that shrinks
+    queues every cell that reads it: its own and its `readers`.  A domain
+    shrinks at most 8 times, so the revisions are linear in the number of
+    domains, and no row count bounds them.
     """
-    box_image, box_support = box
-    self_image, self_support = _IMP_SELF
     queue: list[Formula] = []
     for g in shrunk:
         queue.append(g)
@@ -630,36 +628,30 @@ def _revise(dom: dict[Formula, int], readers: dict[Formula, list[Formula]], shru
         t = type(f)
         if t is Box:
             x, y = f.operand, None
-            r = dom[f] & box_image[dom[x]]
-            p = dom[x] & box_support[r]
-        elif t is Implies:
-            x, y = f.left, f.right
-            p, q = dom[x], dom[y]
-            if x is y:
-                y = None
-                r = dom[f] & self_image[p]
-                p &= self_support[r]
-            else:
-                r = dom[f] & _IMP_IMAGE[p << 8 | q]
-                p &= _IMP_LEFT[q << 8 | r]
-                q &= _IMP_RIGHT[p << 8 | r]
-        else:  # an atom or falsum reads no other domain
+            image, support = box
+        elif t is not Implies:  # an atom or falsum reads no other domain
             continue
+        elif f.left is f.right:
+            x, y = f.left, None
+            image, support = _IMP_SELF
+        else:
+            x, y = f.left, f.right
+            image, support = _IMP_OVER_Y[dom[y]]
+        r = dom[f] & image[dom[x]]
         if not r:
             return True
-        # each value of r has a supporting pair, so p and q keep a value;
+        # each value of r has a supporting pair, so x and y keep a value;
         # the cell of f is consistent now, so it is not queued again
         if r != dom[f]:
             dom[f] = r
             queue += readers[f]
-        if p != dom[x]:
-            dom[x] = p
-            queue.append(x)
-            queue += (h for h in readers[x] if h is not f)
-        if y is not None and q != dom[y]:
-            dom[y] = q
-            queue.append(y)
-            queue += (h for h in readers[y] if h is not f)
+        p = dom[x] & support[r]
+        revised = ((x, p),) if y is None else ((x, p), (y, dom[y] & _IMP_OVER_X[p][1][r]))
+        for g, s in revised:
+            if s != dom[g]:
+                dom[g] = s
+                queue.append(g)
+                queue += (h for h in readers[g] if h is not f)
     return False
 
 

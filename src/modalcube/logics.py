@@ -203,8 +203,10 @@ def frame_tables(props: frozenset[str], worlds: int = 3) -> FrameTables:
     Three worlds give the tables exactly; two do not.  One world gives the
     values of the one-world frames: a dead end where the logic allows one,
     and a reflexive point.  Every world gives []p a value, so p takes the
-    values with a box cell.
+    values with a box cell.  Fewer than one world raises ValueError.
     """
+    if worlds < 1:
+        raise ValueError(f"{worlds} worlds: frame tables need at least 1 world")
     _check_names(props)
     rels = _frame_relations(worlds, props)
     (p,) = _valuations(worlds, 1)

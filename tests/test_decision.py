@@ -1336,6 +1336,25 @@ def test_scan_answers_what_propagation_misses(monkeypatch, logic_name):
     assert (verdict.valid, verdict.stage, len(calls)) == (True, "early-valid", 1)
 
 
+@pytest.mark.parametrize("name, rows, refuting", [
+    ("K", 35644, 2640), ("KD", 35640, 2640), ("KB", 2860, 136), ("K4", 4316, 168),
+    ("KT", 643, 8)])
+def test_distribution_under_two_boxes_needs_the_filter(name, rows, refuting):
+    """The enumerated table of `[][](p -> q) -> ([][]p -> [][]q)` holds rows
+    that refute it in these logics, so no check of the unfiltered table
+    can show it valid, and propagation rightly shows nothing.  The filter
+    deletes those rows in two rounds and answers VALID."""
+    logic = lookup(name)
+    f = parse("[][](p -> q) -> ([][]p -> [][]q)")
+    subs = subformulas([f])
+    assert not decision._no_refuting_row(logic, subs, (), f)
+    clo = Closure(tuple(subs))
+    table = enumerate_rows(logic, clo)
+    assert (len(table), decision._refuting(clo, table, (), f).sum()) == (rows, refuting)
+    verdict = decide(logic, [], f)
+    assert (verdict.valid, verdict.stage, verdict._survivors.iterations) == (True, "filter", 2)
+
+
 def _counted_enumerate(calls, enumerate, logic, clo, row_cap=decision.ROW_CAP_DEFAULT):
     calls.append(clo)
     return enumerate(logic, clo, row_cap)
@@ -1350,19 +1369,22 @@ def _brute_support(cells, r):
 
 
 def test_propagation_cells_match_the_nmatrix():
-    """The lazily filled cells between value sets equal a loop over
+    """The lazily filled lists of cells equal a loop over
     `nmatrix._IMP_MASKS` and each logic's `box_masks`: every key of the
-    one-argument tables, and 4000 seeded keys of each implication table."""
+    one-argument lists, and 4000 seeded (set, set) keys of each
+    implication table."""
     imp = _IMP_MASKS
     rng = random.Random(39)
     for _ in range(4000):
         p, q, r = (rng.randrange(256) for _ in range(3))
-        assert decision._IMP_IMAGE[p << 8 | q] == functools.reduce(
+        over_y, left = decision._IMP_OVER_Y[q]    # x's list at y's set q
+        over_x, right = decision._IMP_OVER_X[p]   # y's list at x's set p
+        assert over_y[p] == over_x[q] == functools.reduce(
             int.__or__, (int(imp[a, b]) for a in values.values_in(p)
                          for b in values.values_in(q)), 0)
-        assert decision._IMP_LEFT[q << 8 | r] == sum(
+        assert left[r] == sum(
             1 << a for a in range(8) if any(imp[a, b] & r for b in values.values_in(q)))
-        assert decision._IMP_RIGHT[p << 8 | r] == sum(
+        assert right[r] == sum(
             1 << b for b in range(8) if any(imp[a, b] & r for a in values.values_in(p)))
     tables = [(decision._IMP_SELF, imp.diagonal())]
     tables += [(decision._box_sets(logic), nmatrix(logic).box_masks) for logic in all_logics()]
@@ -1374,8 +1396,8 @@ def test_propagation_cells_match_the_nmatrix():
 def test_propagation_tables_are_empty_at_import():
     """No propagation table is built when the module is imported."""
     code = ("from modalcube import decision as d; "
-            "print(sum(map(len, (d._IMP_ROWS, d._IMP_COLS, d._IMP_IMAGE, d._IMP_LEFT, "
-            "d._IMP_RIGHT, *d._IMP_SELF))), d._box_sets.cache_info().currsize)")
+            "print(sum(map(len, (d._IMP_OVER_Y, d._IMP_OVER_X, *d._IMP_SELF))), "
+            "d._box_sets.cache_info().currsize)")
     env = {**os.environ, "PYTHONPATH": str(Path(decision.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout

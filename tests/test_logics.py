@@ -1,6 +1,6 @@
 import pytest
 
-from modalcube import values
+from modalcube import logics, values
 from modalcube.formula import parse, print_formula
 from modalcube.logics import LogicError, all_logics, axioms, frame_tables, lookup
 from modalcube.values import names_in
@@ -120,3 +120,12 @@ def test_frame_tables_refuse_five_worlds():
     # 2**25 relations on five worlds: refused before any is built
     with pytest.raises(ValueError, match="25 relation bits exceed the bound of 16"):
         frame_tables(frozenset(), worlds=5)
+
+
+@pytest.mark.parametrize("worlds", [0, -1])
+def test_frame_tables_refuse_fewer_than_one_world(monkeypatch, worlds):
+    # no frame has no world: refused before a relation is built, where 0
+    # would give all-empty tables and -1 a numpy reshape error
+    monkeypatch.setattr(logics, "_frame_relations", None)
+    with pytest.raises(ValueError, match=f"^{worlds} worlds: frame tables need at least 1 world$"):
+        frame_tables(frozenset(), worlds=worlds)
